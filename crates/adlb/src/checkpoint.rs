@@ -148,6 +148,7 @@ fn absorb_history(history: &mut RespHistory, ops: &[ReplOp]) {
             client,
             seq,
             resp: Some(bytes),
+            ..
         } = op
         {
             history
@@ -396,7 +397,8 @@ pub(crate) fn restore_home(client: &mut PfsClient, home: Rank) -> Result<Restore
 /// the partition is disjoint and nothing restores twice:
 ///
 /// * data ids go to `layout.data_owner(id)`,
-/// * client-keyed state goes to `layout.server_of(client)`,
+/// * client-keyed state goes to `layout.server_of(client)`, except dedup
+///   high-waters, which follow the home shard they deduplicate,
 /// * targeted queue tasks go to the target's home,
 /// * untargeted tasks and global flow state (pending transfers, fwd
 ///   counters, quarantine) stay with the checkpoint's owner `ckpt_owner`
@@ -440,11 +442,17 @@ pub(crate) fn split_for_home(
     out.seqs = full
         .seqs
         .iter()
-        .filter(|(c, _)| mine(c))
-        .map(|(c, v)| (*c, *v))
+        .filter(|((_, h), _)| *h == home)
+        .map(|(k, v)| (*k, *v))
         .collect();
     out.resps = full
         .resps
+        .iter()
+        .filter(|(c, _)| mine(c))
+        .map(|(c, v)| (*c, v.clone()))
+        .collect();
+    out.held = full
+        .held
         .iter()
         .filter(|(c, _)| mine(c))
         .map(|(c, v)| (*c, v.clone()))
@@ -833,6 +841,7 @@ mod tests {
             op_store(7, b"v"),
             ReplOp::SeqResp {
                 client: 2,
+                home: 3,
                 seq: 5,
                 resp: Some(Bytes::from_static(b"resp")),
             },
@@ -910,6 +919,7 @@ mod tests {
         // Compact, keep appending, restore again.
         let ops2 = vec![ReplOp::SeqResp {
             client: 1,
+            home: 3,
             seq: 4,
             resp: Some(Bytes::from_static(b"sealed")),
         }];
@@ -984,7 +994,8 @@ mod tests {
             let _ = full.store.create(id, 1);
         }
         for client in (0..6).filter(|r| !layout.is_server(*r)) {
-            full.seqs.insert(client, 10 + client as u64);
+            full.seqs
+                .insert((client, layout.server_of(client)), 10 + client as u64);
             full.resps.insert(client, (10, Bytes::from_static(b"r")));
         }
         full.queue
@@ -1003,7 +1014,7 @@ mod tests {
         // Every datum lands in exactly one slice.
         let total: usize = parts.iter().map(|p| p.store.len()).sum();
         assert_eq!(total, 16);
-        // Client state follows server_of.
+        // Client state follows server_of; high-waters follow their home.
         let total_seqs: usize = parts.iter().map(|p| p.seqs.len()).sum();
         assert_eq!(total_seqs, full.seqs.len());
         // Untargeted task + flow state stay with the checkpoint owner.

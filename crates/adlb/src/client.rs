@@ -8,7 +8,7 @@ use mpisim::{trace, Comm, Rank, Src, TagSel};
 
 use crate::datastore::DataError;
 use crate::layout::Layout;
-use crate::msg::{seal_seq, Request, Response, Task, TAG_REQ, TAG_RESP};
+use crate::msg::{seal_request, Request, Response, Task, TAG_REQ, TAG_RESP};
 
 /// How long an awaited request waits for its response before checking
 /// whether the serving rank died. While the server is alive the client
@@ -65,13 +65,19 @@ impl ClientConfig {
     }
 }
 
-/// A client (engine or worker) handle onto the ADLB subsystem.
+/// A client (engine or worker) handle onto the ADLB subsystem, mirroring
+/// the real ADLB C API (`ADLB_Put`, `ADLB_Get`, `ADLB_Store`, ...).
 ///
-/// All operations are synchronous request/response with a server, exactly
-/// like the real ADLB C API (`ADLB_Put`, `ADLB_Get`, `ADLB_Store`, ...).
-/// Unlike the one-message-per-task PR 1 protocol, gets prefetch batches of
-/// tasks and lease acknowledgements ride back in batches (see
-/// [`ClientConfig`]); `DESIGN.md` documents the batched wire protocol.
+/// Gets, puts and reads are request/response round trips. Gets prefetch
+/// batches of tasks and lease acknowledgements ride back in batches (see
+/// [`ClientConfig`]). Data mutations whose only reply is "ok or error"
+/// (`create`, `store`, `insert`, `close`, `incr_writers`) are *one-way*
+/// when the datum lives on this client's home server: they return at
+/// once, per-pair FIFO delivery orders them before every later request
+/// to that server, and a failure comes back with the next awaited
+/// response — as the `Err` of the data call that received it, and in
+/// [`AdlbClient::take_deferred_errors`]. Mutations of other servers' data
+/// stay awaited. `DESIGN.md` documents the wire protocol.
 ///
 /// ## Failover
 ///
@@ -134,12 +140,18 @@ pub struct AdlbClient {
     /// Servers this client observed to be dead (its own view; servers
     /// confirm independently via the membership protocol).
     dead: HashSet<Rank>,
-    /// Sealed fire-and-forget messages (acks, output) sent to the home
-    /// server since its last awaited response. If the home dies, these
-    /// may not have reached the replica and are re-sent to the successor
+    /// Sealed one-way messages (acks, output, home data mutations) sent
+    /// to the home server since its last awaited response, with their seq
+    /// and the tenant they were sent under. If the home dies, these may
+    /// not have reached the replica and are re-sent to the successor
     /// ahead of the repeated request; the server-side seq dedup drops the
     /// ones that did make it.
-    unconfirmed: Vec<Bytes>,
+    unconfirmed: Vec<(u64, u32, Bytes)>,
+    /// The rank the `unconfirmed` messages were sent to.
+    unconfirmed_host: Rank,
+    /// Errors of one-way data ops delivered by the server and not yet
+    /// taken, with the tenant each op was issued under.
+    deferred: Vec<(u32, DataError)>,
 }
 
 impl AdlbClient {
@@ -178,6 +190,8 @@ impl AdlbClient {
             next_seq: 0,
             dead: HashSet::new(),
             unconfirmed: Vec::new(),
+            unconfirmed_host: my_server,
+            deferred: Vec::new(),
         }
     }
 
@@ -221,9 +235,9 @@ impl AdlbClient {
     }
 
     /// Seal a request body with the next sequence number.
-    fn seal(&mut self, body: &[u8]) -> Bytes {
+    fn seal(&mut self, body: &[u8], one_way: bool) -> Bytes {
         self.next_seq += 1;
-        seal_seq(body, self.next_seq)
+        seal_request(body, self.next_seq, one_way)
     }
 
     /// The rank currently serving home server `home`.
@@ -231,20 +245,47 @@ impl AdlbClient {
         self.layout.route(home, &self.dead)
     }
 
-    /// Send a sealed fire-and-forget message to the home server and
-    /// remember it for re-send on failover.
-    fn send_ff(&mut self, body: Bytes) {
-        let sealed = self.seal(&body);
-        self.unconfirmed.push(sealed.clone());
+    /// The rank serving this client's home server. When that changed
+    /// since the unconfirmed one-way messages were sent — their host died,
+    /// perhaps noticed during a round trip to another server — re-send
+    /// them to the new host first, so it receives the home stream whole
+    /// and in seq order (the seq dedup drops the ones it already has).
+    fn home_host(&mut self) -> Rank {
         let host = self.host_of(self.my_server);
+        if host != self.unconfirmed_host {
+            for (_, _, b) in &self.unconfirmed {
+                self.comm.send(host, TAG_REQ, b.clone());
+            }
+            self.unconfirmed_host = host;
+        }
+        host
+    }
+
+    /// Send a sealed one-way message to the home server and remember it
+    /// for re-send on failover.
+    fn send_one_way(&mut self, body: Bytes) {
+        let sealed = self.seal(&body, true);
+        let host = self.home_host();
+        self.unconfirmed
+            .push((self.next_seq, self.tenant, sealed.clone()));
         self.comm.send(host, TAG_REQ, sealed);
+    }
+
+    /// The rank currently serving `home`, replaying unconfirmed one-way
+    /// traffic first when `home` is this client's own.
+    fn route_to(&mut self, home: Rank) -> Rank {
+        if home == self.my_server {
+            self.home_host()
+        } else {
+            self.host_of(home)
+        }
     }
 
     /// One awaited round trip against home server `home`, surviving the
     /// death of the rank serving it: on death, re-route to the ring
-    /// successor, replay unconfirmed fire-and-forget traffic (home server
-    /// only), and repeat the request under its original seq — the
-    /// server-side dedup makes the retry exactly-once.
+    /// successor, replay unconfirmed one-way traffic (home server only,
+    /// see [`AdlbClient::home_host`]), and repeat the request under its
+    /// original seq — the server-side dedup makes the retry exactly-once.
     ///
     /// Responses are received from any rank and matched by their sealed
     /// seq: after a failover the answer may arrive from the promoted
@@ -252,7 +293,7 @@ impl AdlbClient {
     /// successor pushes a dead server's cached responses unprompted), and
     /// stale duplicates of already-consumed responses must be dropped.
     fn exchange(&mut self, home: Rank, sealed: Bytes, seq: u64) -> Response {
-        let mut host = self.host_of(home);
+        let mut host = self.route_to(home);
         self.comm.send(host, TAG_REQ, sealed.clone());
         loop {
             match self
@@ -276,6 +317,13 @@ impl AdlbClient {
                         // consumed (failover duplicate): drop it.
                         continue;
                     }
+                    let resp = match resp {
+                        Response::WithErrors { errors, resp } => {
+                            self.absorb_errors(errors);
+                            *resp
+                        }
+                        resp => resp,
+                    };
                     if home == self.my_server {
                         // The response proves the serving rank processed
                         // (and replicated) everything we sent before this
@@ -289,16 +337,11 @@ impl AdlbClient {
                         continue; // slow, not dead: keep waiting
                     }
                     self.dead.insert(host);
-                    let next = self.host_of(home);
+                    let next = self.route_to(home);
                     eprintln!(
                         "adlb client {}: server rank {host} died; retrying with rank {next}",
                         self.comm.rank()
                     );
-                    if home == self.my_server {
-                        for b in &self.unconfirmed {
-                            self.comm.send(next, TAG_REQ, b.clone());
-                        }
-                    }
                     self.comm.send(next, TAG_REQ, sealed.clone());
                     host = next;
                 }
@@ -314,15 +357,60 @@ impl AdlbClient {
         self.flush_puts();
         self.flush_output();
         self.flush_acks();
-        let sealed = self.seal(&req.encode());
+        let sealed = self.seal(&req.encode(), false);
         self.exchange(home, sealed, self.next_seq)
     }
 
-    fn data_request(&mut self, id: u64, req: &Request) -> Response {
+    /// Record the errors of failed one-way ops, attributed to the tenant
+    /// each op was sent under (the current tenant if the op is no longer
+    /// tracked, e.g. after a resume replay).
+    fn absorb_errors(&mut self, errors: Vec<(u64, String)>) {
+        for (seq, message) in errors {
+            let tenant = self
+                .unconfirmed
+                .iter()
+                .find(|(s, _, _)| *s == seq)
+                .map_or(self.tenant, |(_, t, _)| *t);
+            self.deferred.push((tenant, DataError { message }));
+        }
+    }
+
+    /// One awaited data op. Fails with the first one-way error that rode
+    /// in on its response, if any: the data call is how the caller learns
+    /// that an earlier one-way op failed.
+    fn data_request(&mut self, id: u64, req: &Request) -> Result<Response, DataError> {
         let t0 = trace::now_us();
+        let before = self.deferred.len();
         let resp = self.request(self.layout.data_owner(id), req);
         trace::record_since(trace::KIND_DATA_OP, id, t0);
-        resp
+        match self.deferred.get(before) {
+            Some((_, e)) => Err(e.clone()),
+            None => Ok(resp),
+        }
+    }
+
+    /// A data mutation whose only reply is "ok or error". One-way when the
+    /// datum lives on this client's home server — the home receives this
+    /// client's traffic in order, so every later request there sees the
+    /// mutation, and a failure rides back on the next awaited response.
+    /// Mutations of other servers' data are awaited: nothing orders them
+    /// against this client's later requests to its home.
+    fn mutate(&mut self, id: u64, req: &Request, op: &str) -> Result<(), DataError> {
+        if self.layout.data_owner(id) != self.my_server {
+            return Self::expect_ok(self.data_request(id, req)?, op);
+        }
+        self.send_one_way(req.encode());
+        // An instant: the op counts as a data op, but nothing blocked on it.
+        trace::record_instant(trace::KIND_DATA_OP, id);
+        Ok(())
+    }
+
+    /// Take the errors of failed one-way data ops delivered so far, each
+    /// with the tenant its op was issued under. Every client's final
+    /// awaited call (`get` returning `None`, or `finish`) delivers any
+    /// still outstanding, so checking after those loses none.
+    pub fn take_deferred_errors(&mut self) -> Vec<(u32, DataError)> {
+        std::mem::take(&mut self.deferred)
     }
 
     // -- work -------------------------------------------------------------
@@ -389,7 +477,7 @@ impl AdlbClient {
             _ => 1,
         };
         let t0 = trace::now_us();
-        let sealed = self.seal(&req.encode());
+        let sealed = self.seal(&req.encode(), false);
         let resp = self.exchange(self.my_server, sealed, self.next_seq);
         trace::record_since(trace::KIND_TASK_PUT, n, t0);
         self.complete_put(resp);
@@ -418,7 +506,7 @@ impl AdlbClient {
                         }
                         None => return,
                     };
-                    let sealed = self.seal(&req.encode());
+                    let sealed = self.seal(&req.encode(), false);
                     resp = self.exchange(self.my_server, sealed, self.next_seq);
                 }
                 other => {
@@ -455,7 +543,7 @@ impl AdlbClient {
         }
         let text = std::mem::take(&mut self.out_buf);
         let tenant = self.tenant;
-        self.send_ff(Request::Output { text, tenant }.encode());
+        self.send_one_way(Request::Output { text, tenant }.encode());
     }
 
     // -- leases -----------------------------------------------------------
@@ -488,7 +576,7 @@ impl AdlbClient {
             }
             None => return, // guarded above; never panic on a race
         };
-        self.send_ff(req.encode());
+        self.send_one_way(req.encode());
     }
 
     /// Report that the most recently delivered task failed in a contained
@@ -561,7 +649,7 @@ impl AdlbClient {
             self.flush_output();
             self.flush_acks();
             let body = self.encoded_get(work_types);
-            let sealed = self.seal(&body);
+            let sealed = self.seal(&body, false);
             // Zero-copy decode: task payloads alias the arrival buffer.
             let resp = self.exchange(self.my_server, sealed, self.next_seq);
             match resp {
@@ -650,31 +738,22 @@ impl AdlbClient {
         }
     }
 
-    /// Create a datum of the given Turbine type tag.
+    /// Create a datum of the given Turbine type tag (one-way on the home
+    /// server; see [`AdlbClient`]).
     pub fn create(&mut self, id: u64, type_tag: u8) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(id, &Request::DataCreate { id, type_tag }),
-            "create",
-        )
+        self.mutate(id, &Request::DataCreate { id, type_tag }, "create")
     }
 
-    /// Store a scalar value, closing the datum and releasing subscribers.
+    /// Store a scalar value, closing the datum and releasing subscribers
+    /// (one-way on the home server).
     pub fn store(&mut self, id: u64, value: Vec<u8>) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(
-                id,
-                &Request::DataStore {
-                    id,
-                    value: Bytes::from(value),
-                },
-            ),
-            "store",
-        )
+        let value = Bytes::from(value);
+        self.mutate(id, &Request::DataStore { id, value }, "store")
     }
 
     /// Fetch a closed scalar's value (`None` while still open).
     pub fn retrieve(&mut self, id: u64) -> Result<Option<Bytes>, DataError> {
-        match self.data_request(id, &Request::DataRetrieve { id }) {
+        match self.data_request(id, &Request::DataRetrieve { id })? {
             Response::MaybeBytes(v) => Ok(v),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("retrieve", other)),
@@ -684,43 +763,35 @@ impl AdlbClient {
     /// Subscribe `notify_rank` to the close of `id`. Returns `true` if the
     /// datum is already closed (no notification will arrive).
     pub fn subscribe(&mut self, id: u64, notify_rank: Rank) -> Result<bool, DataError> {
-        match self.data_request(
+        let req = Request::DataSubscribe {
             id,
-            &Request::DataSubscribe {
-                id,
-                rank: notify_rank,
-            },
-        ) {
+            rank: notify_rank,
+        };
+        match self.data_request(id, &req)? {
             Response::Bool(closed) => Ok(closed),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("subscribe", other)),
         }
     }
 
-    /// Insert a member into an open container.
+    /// Insert a member into an open container (one-way on the home
+    /// server).
     pub fn insert(&mut self, id: u64, key: &str, value: Vec<u8>) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(
-                id,
-                &Request::DataInsert {
-                    id,
-                    key: key.to_string(),
-                    value: Bytes::from(value),
-                },
-            ),
-            "insert",
-        )
+        let req = Request::DataInsert {
+            id,
+            key: key.to_string(),
+            value: Bytes::from(value),
+        };
+        self.mutate(id, &req, "insert")
     }
 
     /// Look up a container member.
     pub fn lookup(&mut self, id: u64, key: &str) -> Result<Option<Bytes>, DataError> {
-        match self.data_request(
+        let req = Request::DataLookup {
             id,
-            &Request::DataLookup {
-                id,
-                key: key.to_string(),
-            },
-        ) {
+            key: key.to_string(),
+        };
+        match self.data_request(id, &req)? {
             Response::MaybeBytes(v) => Ok(v),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("lookup", other)),
@@ -729,30 +800,28 @@ impl AdlbClient {
 
     /// Enumerate a container's members in subscript order.
     pub fn enumerate(&mut self, id: u64) -> Result<Vec<(String, Bytes)>, DataError> {
-        match self.data_request(id, &Request::DataEnumerate { id }) {
+        match self.data_request(id, &Request::DataEnumerate { id })? {
             Response::Pairs(p) => Ok(p),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("enumerate", other)),
         }
     }
 
-    /// Close a container, releasing subscribers.
+    /// Close a container, releasing subscribers (one-way on the home
+    /// server).
     pub fn close(&mut self, id: u64) -> Result<(), DataError> {
-        Self::expect_ok(self.data_request(id, &Request::DataClose { id }), "close")
+        self.mutate(id, &Request::DataClose { id }, "close")
     }
 
     /// Adjust a container's writer slot count (Swift/T slot counting); a
-    /// drop to zero closes it.
+    /// drop to zero closes it (one-way on the home server).
     pub fn incr_writers(&mut self, id: u64, delta: i64) -> Result<(), DataError> {
-        Self::expect_ok(
-            self.data_request(id, &Request::DataIncrWriters { id, delta }),
-            "incr_writers",
-        )
+        self.mutate(id, &Request::DataIncrWriters { id, delta }, "incr_writers")
     }
 
     /// Whether the datum exists and is closed.
     pub fn exists(&mut self, id: u64) -> Result<bool, DataError> {
-        match self.data_request(id, &Request::DataExists { id }) {
+        match self.data_request(id, &Request::DataExists { id })? {
             Response::Bool(b) => Ok(b),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("exists", other)),
@@ -945,19 +1014,75 @@ mod tests {
 
     #[test]
     fn double_store_is_reported() {
+        // A store on the home server is one-way: the second store returns
+        // at once, and its "double assignment" comes back from the next
+        // awaited call instead.
         let out = with_runtime(2, 1, |mut c| {
             if c.rank() == 0 {
                 let id = c.alloc_id();
                 c.create(id, 0).unwrap();
                 c.store(id, b"a".to_vec()).unwrap();
-                let err = c.store(id, b"b".to_vec()).unwrap_err();
+                c.store(id, b"b".to_vec())
+                    .expect("a one-way store returns before the server sees it");
+                let err = c.retrieve(id).unwrap_err();
+                let taken = c.take_deferred_errors();
                 c.finish();
-                return err.message;
+                return (err.message, taken);
             }
             c.finish();
-            String::new()
+            (String::new(), Vec::new())
         });
-        assert!(out[0].as_ref().unwrap().contains("double assignment"));
+        let (err, taken) = out[0].clone().unwrap();
+        assert!(err.contains("double assignment"), "{err}");
+        assert_eq!(taken.len(), 1, "{taken:?}");
+        assert_eq!(taken[0].1.message, err);
+    }
+
+    #[test]
+    fn one_way_error_rides_the_final_awaited_call() {
+        // Nothing awaited follows the failed op but `finish`: its response
+        // must still carry the error, attributed to the sending tenant.
+        let out = with_runtime(2, 1, |mut c| {
+            if c.rank() == 0 {
+                c.set_tenant(3);
+                // Never created; with one server every id is home-owned.
+                c.store(1_000_000, b"x".to_vec()).expect("one-way");
+                c.finish();
+                return c.take_deferred_errors();
+            }
+            c.finish();
+            Vec::new()
+        });
+        let errs = out[0].clone().unwrap();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].0, 3);
+        assert!(errs[0].1.message.contains("does not exist"), "{errs:?}");
+    }
+
+    #[test]
+    fn mutations_of_another_servers_data_stay_awaited() {
+        // 2 servers, 3 clients: id 1 lives on server 4, but client 0's
+        // home is server 3 — its store error comes back from the store.
+        let layout = Layout::new(5, 2);
+        let out = World::run(5, move |comm| {
+            if layout.is_server(comm.rank()) {
+                serve(comm, layout, ServerConfig::default());
+                return None;
+            }
+            let mut c = AdlbClient::new(comm, layout);
+            let mut result = None;
+            if c.rank() == 0 {
+                assert_ne!(layout.data_owner(1), layout.server_of(0));
+                c.create(1, 0).unwrap();
+                c.store(1, b"a".to_vec()).unwrap();
+                result = Some(c.store(1, b"b".to_vec()).unwrap_err().message);
+            }
+            c.finish();
+            result
+        });
+        assert!(out[0]
+            .as_ref()
+            .is_some_and(|e| e.contains("double assignment")));
     }
 
     #[test]

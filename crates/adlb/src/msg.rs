@@ -116,6 +116,19 @@ pub fn seal_seq(body: &[u8], seq: u64) -> Bytes {
     Bytes::from(buf)
 }
 
+/// Set in a sealed request's seq when the sender does not wait for a
+/// response (acks, output, and data mutations on the sender's home
+/// server). Sequence numbers count messages, so they never reach it.
+const ONE_WAY: u64 = 1 << 63;
+
+/// Seal a request body like [`seal_seq`], marking it one-way when the
+/// sender will not wait for the answer: the server then records the
+/// request's outcome instead of responding, and holds an error for the
+/// sender's next awaited response (see [`Response::WithErrors`]).
+pub fn seal_request(body: &[u8], seq: u64, one_way: bool) -> Bytes {
+    seal_seq(body, if one_way { seq | ONE_WAY } else { seq })
+}
+
 /// Client → server requests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -224,6 +237,13 @@ pub enum Response {
     /// them in a deferred buffer and re-offers them later instead of the
     /// server's queue growing without bound.
     Rejected(Vec<Task>),
+    /// `resp`, carrying the errors of one-way requests the client sent
+    /// since its last awaited response, each with the seq of the request
+    /// that failed. Only present when there are errors to deliver.
+    WithErrors {
+        errors: Vec<(u64, String)>,
+        resp: Box<Response>,
+    },
 }
 
 /// Server ↔ server messages.
@@ -266,6 +286,11 @@ pub enum ServerMsg {
         epoch: u64,
         fwd_out: u64,
         fwd_in: u64,
+        /// The peers the responder has confirmed dead, ascending. A dead
+        /// server's clients count for nobody's quiescence until its
+        /// successor confirms the death and adopts them, so the master
+        /// decides only when every member's view matches its own.
+        dead: Vec<u32>,
     },
     /// Global shutdown, carrying the (capped) quarantine reports gathered
     /// by the master so every server can hand them to its clients.
@@ -434,22 +459,22 @@ impl Request {
         w.finish()
     }
 
-    /// Deserialize a sealed wire message into `(request, seq)` (payload
-    /// bytes copied out of `buf`). The live protocol paths use
+    /// Deserialize a sealed wire message into `(request, seq, one_way)`
+    /// (payload bytes copied out of `buf`). The live protocol paths use
     /// [`Request::decode_shared`]; this form decodes from a bare slice for
     /// tests and tooling.
     #[allow(dead_code)]
-    pub fn decode(buf: &[u8]) -> Result<(Request, u64), WireError> {
+    pub fn decode(buf: &[u8]) -> Result<(Request, u64, bool), WireError> {
         Self::decode_reader(WireReader::new(buf))
     }
 
     /// Deserialize a sealed wire message from an arrival buffer; task
     /// payloads alias `buf` (zero-copy) instead of being copied out of it.
-    pub fn decode_shared(buf: &Bytes) -> Result<(Request, u64), WireError> {
+    pub fn decode_shared(buf: &Bytes) -> Result<(Request, u64, bool), WireError> {
         Self::decode_reader(WireReader::shared(buf))
     }
 
-    fn decode_reader(mut r: WireReader) -> Result<(Request, u64), WireError> {
+    fn decode_reader(mut r: WireReader) -> Result<(Request, u64, bool), WireError> {
         let kind = r.get_u8()?;
         let req = match kind {
             0 => Request::Put(Task::decode_from(&mut r)?),
@@ -522,7 +547,7 @@ impl Request {
         };
         let seq = r.get_u64()?;
         r.expect_end()?;
-        Ok((req, seq))
+        Ok((req, seq & !ONE_WAY, seq & ONE_WAY != 0))
     }
 }
 
@@ -530,6 +555,11 @@ impl Response {
     /// Serialize for the wire.
     pub fn encode(&self) -> Bytes {
         let mut w = WireWriter::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    fn encode_into(&self, w: &mut WireWriter) {
         match self {
             Response::Ok => {
                 w.put_u8(0);
@@ -560,7 +590,7 @@ impl Response {
             }
             Response::DeliverTask(t) => {
                 w.put_u8(4);
-                t.encode_into(&mut w);
+                t.encode_into(w);
             }
             Response::NoMore {
                 quarantined,
@@ -587,14 +617,22 @@ impl Response {
             }
             Response::DeliverBatch(tasks) => {
                 w.put_u8(7);
-                encode_task_list(&mut w, tasks);
+                encode_task_list(w, tasks);
             }
             Response::Rejected(tasks) => {
                 w.put_u8(8);
-                encode_task_list(&mut w, tasks);
+                encode_task_list(w, tasks);
+            }
+            Response::WithErrors { errors, resp } => {
+                w.put_u8(9);
+                w.put_u32(errors.len() as u32);
+                for (seq, e) in errors {
+                    w.put_u64(*seq);
+                    w.put_str(e);
+                }
+                resp.encode_into(w);
             }
         }
-        w.finish()
     }
 
     /// Deserialize from the wire (payload bytes copied out of `buf`).
@@ -671,6 +709,18 @@ impl Response {
             6 => Response::Error(r.get_str()?.to_string()),
             7 => Response::DeliverBatch(decode_task_list(r)?),
             8 => Response::Rejected(decode_task_list(r)?),
+            9 => {
+                let n = r.get_u32()? as usize;
+                let mut errors = Vec::with_capacity(n.min(64));
+                for _ in 0..n {
+                    let seq = r.get_u64()?;
+                    errors.push((seq, r.get_str()?.to_string()));
+                }
+                Response::WithErrors {
+                    errors,
+                    resp: Box::new(Self::decode_body(r)?),
+                }
+            }
             _ => {
                 return Err(WireError {
                     context: "unknown response kind",
@@ -731,6 +781,7 @@ impl ServerMsg {
                 epoch,
                 fwd_out,
                 fwd_in,
+                dead,
             } => {
                 w.put_u8(4);
                 w.put_u64(*round);
@@ -738,6 +789,7 @@ impl ServerMsg {
                 w.put_u64(*epoch);
                 w.put_u64(*fwd_out);
                 w.put_u64(*fwd_in);
+                put_u32_list(&mut w, dead);
             }
             ServerMsg::Shutdown { reports } => {
                 w.put_u8(5);
@@ -829,6 +881,7 @@ impl ServerMsg {
                 epoch: r.get_u64()?,
                 fwd_out: r.get_u64()?,
                 fwd_in: r.get_u64()?,
+                dead: get_u32_list(&mut r)?,
             },
             5 => ServerMsg::Shutdown {
                 reports: get_str_list(&mut r)?,
@@ -949,7 +1002,9 @@ mod tests {
         for (i, c) in cases.into_iter().enumerate() {
             let seq = i as u64 + 1;
             let wire = seal_seq(&c.encode(), seq);
-            assert_eq!(Request::decode(&wire).unwrap(), (c, seq));
+            assert_eq!(Request::decode(&wire).unwrap(), (c.clone(), seq, false));
+            let wire = seal_request(&c.encode(), seq, true);
+            assert_eq!(Request::decode(&wire).unwrap(), (c, seq, true));
         }
     }
 
@@ -987,6 +1042,10 @@ mod tests {
             Response::Error("bad thing".into()),
             Response::Rejected(vec![task(1, 0, None).with_tenant(9)]),
             Response::Rejected(vec![]),
+            Response::WithErrors {
+                errors: vec![(7, "double assignment".into()), (9, String::new())],
+                resp: Box::new(Response::DeliverBatch(vec![task(1, 0, None)])),
+            },
         ];
         for c in cases {
             assert_eq!(Response::decode(&c.encode()).unwrap(), c);
@@ -1026,6 +1085,7 @@ mod tests {
                 epoch: 77,
                 fwd_out: 5,
                 fwd_in: 5,
+                dead: vec![9, 11],
             },
             ServerMsg::Shutdown { reports: vec![] },
             ServerMsg::Shutdown {
@@ -1090,7 +1150,9 @@ mod tests {
         // contract is distinct allocations).
         let sealed = seal_seq(&Request::Put(task(1, 0, None)).encode(), 5);
         match Request::decode_shared(&sealed).unwrap() {
-            (Request::Put(t), 5) => assert_eq!(&t.payload[..], &task(1, 0, None).payload[..]),
+            (Request::Put(t), 5, false) => {
+                assert_eq!(&t.payload[..], &task(1, 0, None).payload[..])
+            }
             other => panic!("wrong variant: {other:?}"),
         }
     }

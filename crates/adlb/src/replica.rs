@@ -67,13 +67,23 @@ pub enum ReplOp {
     /// `client` was detected dead: permanently parked, leases and credits
     /// dropped (its requeued tasks arrive as separate task ops).
     ClientDead { client: Rank },
-    /// `client`'s request `seq` was fully processed; `resp` caches the
-    /// encoded response when the request was awaited, so a promoted
-    /// successor can answer a re-sent duplicate byte-for-byte.
+    /// `client`'s request `seq` against home shard `home` was fully
+    /// processed; `resp` caches the encoded response when the request was
+    /// awaited, so a promoted successor can answer a re-sent duplicate
+    /// byte-for-byte. A cached response also delivered every error held
+    /// for the client.
     SeqResp {
         client: Rank,
+        home: Rank,
         seq: u64,
         resp: Option<Bytes>,
+    },
+    /// `client`'s one-way request `seq` failed with `error`, held until it
+    /// rides the client's next awaited response.
+    HoldError {
+        client: Rank,
+        seq: u64,
+        error: String,
     },
     /// Streamed stdout from `client` on behalf of `tenant`.
     Out {
@@ -140,10 +150,17 @@ pub struct Ledger {
     pub leases: HashMap<Rank, VecDeque<Task>>,
     /// Stale-ack credits per client (whole-deque revocations).
     pub credits: HashMap<Rank, u32>,
-    /// Per-client request dedup high-water mark.
-    pub seqs: HashMap<Rank, u64>,
+    /// Request dedup high-water mark per `(client, home)`: each home
+    /// shard's request stream from a client is deduplicated on its own,
+    /// because a client's requests to different homes interleave one seq
+    /// counter, and a promoted successor must still accept the dead
+    /// home's unconfirmed one-way requests below its own high-water.
+    pub seqs: HashMap<(Rank, Rank), u64>,
     /// Cached encoded response for a client's last awaited request.
     pub resps: HashMap<Rank, (u64, Bytes)>,
+    /// Errors of one-way requests not yet delivered, per client, each with
+    /// the seq of the request that failed.
+    pub held: HashMap<Rank, Vec<(u64, String)>>,
     /// Accumulated stdout stream per `(client, tenant)`.
     pub outputs: HashMap<(Rank, u32), String>,
     /// Clients that are permanently parked (finished or dead).
@@ -239,12 +256,24 @@ impl Ledger {
                 self.leases.remove(client);
                 self.credits.remove(client);
             }
-            ReplOp::SeqResp { client, seq, resp } => {
-                let hw = self.seqs.entry(*client).or_default();
+            ReplOp::SeqResp {
+                client,
+                home,
+                seq,
+                resp,
+            } => {
+                let hw = self.seqs.entry((*client, *home)).or_default();
                 *hw = (*hw).max(*seq);
                 if let Some(bytes) = resp {
                     self.resps.insert(*client, (*seq, bytes.clone()));
+                    self.held.remove(client);
                 }
+            }
+            ReplOp::HoldError { client, seq, error } => {
+                self.held
+                    .entry(*client)
+                    .or_default()
+                    .push((*seq, error.clone()));
             }
             ReplOp::Out {
                 client,
@@ -317,8 +346,9 @@ impl Ledger {
             w.put_u32(*n);
         }
         w.put_u32(self.seqs.len() as u32);
-        for (client, seq) in &self.seqs {
+        for ((client, home), seq) in &self.seqs {
             w.put_u64(*client as u64);
+            w.put_u64(*home as u64);
             w.put_u64(*seq);
         }
         w.put_u32(self.resps.len() as u32);
@@ -326,6 +356,15 @@ impl Ledger {
             w.put_u64(*client as u64);
             w.put_u64(*seq);
             w.put_bytes(bytes);
+        }
+        w.put_u32(self.held.len() as u32);
+        for (client, errors) in &self.held {
+            w.put_u64(*client as u64);
+            w.put_u32(errors.len() as u32);
+            for (seq, e) in errors {
+                w.put_u64(*seq);
+                w.put_str(e);
+            }
         }
         w.put_u32(self.outputs.len() as u32);
         for ((client, tenant), text) in &self.outputs {
@@ -389,7 +428,8 @@ impl Ledger {
         let n = r.get_u32()? as usize;
         for _ in 0..n {
             let client = r.get_u64()? as Rank;
-            ledger.seqs.insert(client, r.get_u64()?);
+            let home = r.get_u64()? as Rank;
+            ledger.seqs.insert((client, home), r.get_u64()?);
         }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
@@ -397,6 +437,17 @@ impl Ledger {
             let seq = r.get_u64()?;
             let bytes = Bytes::copy_from_slice(r.get_bytes()?);
             ledger.resps.insert(client, (seq, bytes));
+        }
+        let n = r.get_u32()? as usize;
+        for _ in 0..n {
+            let client = r.get_u64()? as Rank;
+            let m = r.get_u32()? as usize;
+            let mut errors = Vec::with_capacity(m.min(64));
+            for _ in 0..m {
+                let seq = r.get_u64()?;
+                errors.push((seq, r.get_str()?.to_string()));
+            }
+            ledger.held.insert(client, errors);
         }
         let n = r.get_u32()? as usize;
         for _ in 0..n {
@@ -571,9 +622,15 @@ impl ReplOp {
                 w.put_u8(12);
                 w.put_u64(*client as u64);
             }
-            ReplOp::SeqResp { client, seq, resp } => {
+            ReplOp::SeqResp {
+                client,
+                home,
+                seq,
+                resp,
+            } => {
                 w.put_u8(13);
                 w.put_u64(*client as u64);
+                w.put_u64(*home as u64);
                 w.put_u64(*seq);
                 match resp {
                     Some(b) => {
@@ -633,6 +690,12 @@ impl ReplOp {
                 w.put_u8(19);
                 w.put_str(report);
             }
+            ReplOp::HoldError { client, seq, error } => {
+                w.put_u8(20);
+                w.put_u64(*client as u64);
+                w.put_u64(*seq);
+                w.put_str(error);
+            }
         }
     }
 
@@ -686,13 +749,19 @@ impl ReplOp {
             },
             13 => {
                 let client = r.get_u64()? as Rank;
+                let home = r.get_u64()? as Rank;
                 let seq = r.get_u64()?;
                 let resp = if r.get_u8()? == 1 {
                     Some(Bytes::copy_from_slice(r.get_bytes()?))
                 } else {
                     None
                 };
-                ReplOp::SeqResp { client, seq, resp }
+                ReplOp::SeqResp {
+                    client,
+                    home,
+                    seq,
+                    resp,
+                }
             }
             14 => {
                 let client = r.get_u64()? as Rank;
@@ -726,6 +795,15 @@ impl ReplOp {
             19 => ReplOp::Quarantine {
                 report: r.get_str()?.to_string(),
             },
+            20 => {
+                let client = r.get_u64()? as Rank;
+                let seq = r.get_u64()?;
+                ReplOp::HoldError {
+                    client,
+                    seq,
+                    error: r.get_str()?.to_string(),
+                }
+            }
             _ => {
                 return Err(WireError {
                     context: "unknown repl op kind",
@@ -756,8 +834,9 @@ mod tests {
         l.queue.push(task(2));
         l.leases.insert(0, vec![task(3), task(4)].into());
         l.credits.insert(2, 1);
-        l.seqs.insert(0, 17);
+        l.seqs.insert((0, 8), 17);
         l.resps.insert(0, (17, Bytes::from_static(b"resp")));
+        l.held.insert(1, vec![(4, "double assignment".into())]);
         l.outputs.insert((1, 0), "line\n".into());
         l.outputs.insert((1, 3), "tenant three\n".into());
         l.finished.insert(4);
@@ -821,13 +900,20 @@ mod tests {
             ReplOp::ClientDead { client: 2 },
             ReplOp::SeqResp {
                 client: 0,
+                home: 8,
                 seq: 9,
                 resp: Some(Bytes::from_static(b"ok")),
             },
             ReplOp::SeqResp {
                 client: 0,
+                home: 9,
                 seq: 10,
                 resp: None,
+            },
+            ReplOp::HoldError {
+                client: 0,
+                seq: 11,
+                error: "double assignment".into(),
             },
             ReplOp::Out {
                 client: 1,
@@ -920,20 +1006,42 @@ mod tests {
             owner,
             &ReplOp::SeqResp {
                 client: 0,
+                home: owner,
                 seq: 3,
                 resp: Some(Bytes::from_static(b"r")),
             },
         );
         l.apply(
             owner,
+            &ReplOp::HoldError {
+                client: 0,
+                seq: 4,
+                error: "double assignment".into(),
+            },
+        );
+        l.apply(
+            owner,
             &ReplOp::SeqResp {
                 client: 0,
+                home: owner,
                 seq: 5,
                 resp: None,
             },
         );
-        assert_eq!(l.seqs[&0], 5);
+        assert_eq!(l.seqs[&(0, owner)], 5);
         assert_eq!(l.resps[&0].0, 3);
+        assert_eq!(l.held[&0], vec![(4, "double assignment".to_string())]);
+        // The next cached response delivered the held error.
+        l.apply(
+            owner,
+            &ReplOp::SeqResp {
+                client: 0,
+                home: owner,
+                seq: 6,
+                resp: Some(Bytes::from_static(b"r")),
+            },
+        );
+        assert!(l.held.is_empty());
 
         // Transfers.
         l.apply(

@@ -363,11 +363,15 @@ struct Server {
     /// One human-readable report per quarantined task (the error of its
     /// final attempt); shipped to clients with the shutdown notice.
     quarantine_reports: Vec<String>,
-    /// Per-client request dedup high-water mark (see [`ReplOp::SeqResp`]).
-    client_seqs: HashMap<Rank, u64>,
+    /// Request dedup high-water mark per `(client, home shard)` (see
+    /// [`ReplOp::SeqResp`] and [`Ledger::seqs`]).
+    client_seqs: HashMap<(Rank, Rank), u64>,
     /// Cached encoded response for each client's last awaited request,
     /// re-sent verbatim when a failover makes the client repeat it.
     client_resps: HashMap<Rank, (u64, Bytes)>,
+    /// Errors of one-way requests, per client, waiting to ride its next
+    /// awaited response.
+    held_errors: HashMap<Rank, Vec<(u64, String)>>,
     /// Accumulated stdout stream per `(client, tenant)`.
     outputs: HashMap<(Rank, u32), String>,
     /// Ranks whose stream is known-incomplete.
@@ -477,7 +481,7 @@ struct Server {
     fwd_in: u64,
     check_round: u64,
     check_members: Vec<Rank>,
-    check_responses: HashMap<Rank, (bool, u64, u64, u64)>,
+    check_responses: HashMap<Rank, (bool, u64, u64, u64, Vec<u32>)>,
     check_in_flight: bool,
     prev_snapshot: Option<Vec<u64>>,
     stats: ServerStats,
@@ -518,6 +522,7 @@ pub fn serve_ext(comm: Comm, layout: Layout, config: ServerConfig) -> ServerOutc
         quarantine_reports: Vec::new(),
         client_seqs: HashMap::new(),
         client_resps: HashMap::new(),
+        held_errors: HashMap::new(),
         outputs: HashMap::new(),
         truncated: HashSet::new(),
         tenants: TenantSched::new(&config.tenants),
@@ -592,7 +597,7 @@ impl Server {
                 // instead of being copied out of it (zero-copy receive).
                 Some(m) if m.tag == TAG_REQ => {
                     match Request::decode_shared(&m.data) {
-                        Ok((req, seq)) => self.handle_request(m.source, req, seq),
+                        Ok((req, seq, one_way)) => self.handle_request(m.source, req, seq, one_way),
                         Err(e) => self.protocol_error(format_args!(
                             "undecodable request from rank {}: {e:?}",
                             m.source
@@ -815,11 +820,12 @@ impl Server {
         for (c, n) in ledger.credits {
             *self.lease_revoked.entry(c).or_insert(0) += n as usize;
         }
-        for (c, s) in ledger.seqs {
-            let hw = self.client_seqs.entry(c).or_default();
+        for (k, s) in ledger.seqs {
+            let hw = self.client_seqs.entry(k).or_default();
             *hw = (*hw).max(s);
         }
         self.client_resps.extend(ledger.resps);
+        self.adopt_held_errors(ledger.held);
         for q in ledger.quarantine {
             if !self.quarantine_reports.contains(&q) {
                 self.quarantine_reports.push(q);
@@ -848,6 +854,20 @@ impl Server {
         self.tx_ops.push(op);
     }
 
+    /// Merge a promoted or restored ledger's undelivered one-way errors.
+    fn adopt_held_errors(&mut self, held: HashMap<Rank, Vec<(u64, String)>>) {
+        for (c, errors) in held {
+            self.held_errors.entry(c).or_default().extend(errors);
+        }
+    }
+
+    /// Buffer the response to a request of `rank`'s home-server stream
+    /// (puts, gets, finish); see [`Server::respond`].
+    fn send_response(&mut self, rank: Rank, seq: u64, resp: Response, replicate: bool) {
+        let home = self.layout.server_of(rank);
+        self.respond(rank, home, seq, resp, replicate);
+    }
+
     /// Buffer a response, sealed with the seq of the request it answers
     /// (the client drops responses whose seq is not its outstanding
     /// request — see [`Response::decode_sealed`]). When `replicate` is
@@ -855,10 +875,22 @@ impl Server {
     /// the replica stream so a promoted successor can answer the client's
     /// re-send byte-for-byte — or push it unprompted at promotion, in
     /// case the client's copy died in the dead server's send queue.
-    fn send_response(&mut self, rank: Rank, seq: u64, resp: Response, replicate: bool) {
+    /// Errors held for the client ride along, and force the response to
+    /// be recorded, so they are delivered exactly once.
+    fn respond(&mut self, rank: Rank, home: Rank, seq: u64, resp: Response, replicate: bool) {
+        let (resp, replicate) = match self.held_errors.remove(&rank) {
+            Some(errors) => (
+                Response::WithErrors {
+                    errors,
+                    resp: Box::new(resp),
+                },
+                true,
+            ),
+            None => (resp, replicate),
+        };
         let bytes = seal_seq(&resp.encode(), seq);
         if replicate {
-            self.record_seq(rank, seq, Some(bytes.clone()));
+            self.record_seq(rank, home, seq, Some(bytes.clone()));
         }
         // Any answered round trip un-strands the client: it got the
         // response it was blocked on (see `linger`).
@@ -866,15 +898,51 @@ impl Server {
         self.tx_sends.push((rank, TAG_RESP, bytes));
     }
 
-    /// Mark client request `seq` fully processed (with its cached
-    /// response, for awaited requests).
-    fn record_seq(&mut self, client: Rank, seq: u64, resp: Option<Bytes>) {
-        let hw = self.client_seqs.entry(client).or_default();
+    /// Finish data request `seq` from `source` against shard `home`. An
+    /// awaited request gets `resp` (see [`Server::respond`]). Nobody waits
+    /// on a one-way request: only its seq is recorded, so a replay is
+    /// dropped, and an error is held (and replicated) until it rides the
+    /// client's next awaited response.
+    fn answer(
+        &mut self,
+        source: Rank,
+        home: Rank,
+        seq: u64,
+        one_way: bool,
+        resp: Response,
+        replicate: bool,
+    ) {
+        if !one_way {
+            return self.respond(source, home, seq, resp, replicate);
+        }
+        if let Response::Error(error) = resp {
+            self.held_errors
+                .entry(source)
+                .or_default()
+                .push((seq, error.clone()));
+            self.op(ReplOp::HoldError {
+                client: source,
+                seq,
+                error,
+            });
+        }
+        self.record_seq(source, home, seq, None);
+    }
+
+    /// Mark request `seq` of `client`'s stream to shard `home` fully
+    /// processed (with its cached response, for awaited requests).
+    fn record_seq(&mut self, client: Rank, home: Rank, seq: u64, resp: Option<Bytes>) {
+        let hw = self.client_seqs.entry((client, home)).or_default();
         *hw = (*hw).max(seq);
         if let Some(b) = &resp {
             self.client_resps.insert(client, (seq, b.clone()));
         }
-        self.op(ReplOp::SeqResp { client, seq, resp });
+        self.op(ReplOp::SeqResp {
+            client,
+            home,
+            seq,
+            resp,
+        });
     }
 
     fn quiescent(&self) -> bool {
@@ -1492,20 +1560,20 @@ impl Server {
         }
     }
 
-    fn handle_request(&mut self, source: Rank, req: Request, seq: u64) {
+    fn handle_request(&mut self, source: Rank, req: Request, seq: u64, one_way: bool) {
         let data_home = self.data_home(&req);
         let home = data_home.unwrap_or_else(|| self.layout.server_of(source));
         if home != self.comm.rank() {
             self.ensure_home(home);
         }
         // Exactly-once: a re-sent awaited request gets its cached response
-        // verbatim; a re-sent fire-and-forget request is dropped. After a
+        // verbatim; a re-sent one-way request is dropped. After a
         // whole-world resume the restarted client replays its request
         // stream from seq 1 — every awaited request below the durable
         // high-water is answered byte-for-byte from the checkpoint's
         // response history, forcing the client down the same execution
         // path until it passes the durable prefix.
-        let hw = self.client_seqs.get(&source).copied().unwrap_or(0);
+        let hw = self.client_seqs.get(&(source, home)).copied().unwrap_or(0);
         if seq <= hw {
             if let Some((s, bytes)) = self.client_resps.get(&source) {
                 if *s == seq {
@@ -1519,26 +1587,26 @@ impl Server {
                 self.tx_sends.push((source, TAG_RESP, b));
                 return;
             }
-            // No response was ever recorded for this seq. Fire-and-forget
+            // No response was ever recorded for this seq. One-way
             // requests advance the high-water without response bytes and
-            // were already applied — drop the duplicate. Anything else
-            // here is an awaited request whose response is deliberately
-            // unreplicated (reads, deterministic errors, subscribe on an
-            // already-closed datum); the replaying client is blocked on
-            // it, so re-execute it against the restored state.
-            match req {
-                Request::TaskDone { .. }
-                | Request::TaskDoneBatch { .. }
-                | Request::Output { .. } => return,
-                _ => {}
+            // were already applied (or their error is held) — drop the
+            // duplicate. Anything else here is an awaited request whose
+            // response is deliberately unreplicated (reads, deterministic
+            // errors, subscribe on an already-closed datum); the replaying
+            // client is blocked on it, so re-execute it against the
+            // restored state.
+            if one_way {
+                return;
             }
         }
         // Lost shard (a data home died with no replica): answer benignly
         // so the program winds down through the NoMore path instead of
-        // crashing on spurious data errors.
+        // crashing on spurious data errors. One-way writes just vanish.
         if let Some(h) = data_home {
             if self.lost_homes.contains(&h) {
-                self.serve_lost_home(source, &req, seq);
+                if !one_way {
+                    self.serve_lost_home(source, &req, seq);
+                }
                 return;
             }
         }
@@ -1623,11 +1691,11 @@ impl Server {
             }
             Request::TaskDone { ok, error } => {
                 self.handle_acks(source, vec![(ok, error)]);
-                self.record_seq(source, seq, None);
+                self.record_seq(source, home, seq, None);
             }
             Request::TaskDoneBatch { results } => {
                 self.handle_acks(source, results);
-                self.record_seq(source, seq, None);
+                self.record_seq(source, home, seq, None);
             }
             Request::Output { text, tenant } => {
                 self.op(ReplOp::Out {
@@ -1639,7 +1707,7 @@ impl Server {
                     .entry((source, tenant))
                     .or_default()
                     .push_str(&text);
-                self.record_seq(source, seq, None);
+                self.record_seq(source, home, seq, None);
             }
             Request::Finished => {
                 self.finished.insert(source);
@@ -1652,12 +1720,19 @@ impl Server {
                 match self.store.create(id, type_tag) {
                     Ok(()) => {
                         self.op(ReplOp::Create { id, type_tag });
-                        self.send_response(source, seq, Response::Ok, true);
+                        self.answer(source, home, seq, one_way, Response::Ok, true);
                     }
                     // Failed ops replicate nothing: the store is
                     // unchanged, so a re-execution after failover yields
                     // the same error deterministically.
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
+                    Err(e) => self.answer(
+                        source,
+                        home,
+                        seq,
+                        one_way,
+                        Response::Error(e.message),
+                        false,
+                    ),
                 }
             }
             Request::DataStore { id, value } => {
@@ -1666,9 +1741,16 @@ impl Server {
                     Ok(subs) => {
                         self.op(ReplOp::Store { id, value });
                         self.notify_all(id, subs);
-                        self.send_response(source, seq, Response::Ok, true);
+                        self.answer(source, home, seq, one_way, Response::Ok, true);
                     }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
+                    Err(e) => self.answer(
+                        source,
+                        home,
+                        seq,
+                        one_way,
+                        Response::Error(e.message),
+                        false,
+                    ),
                 }
             }
             Request::DataRetrieve { id } => {
@@ -1679,20 +1761,27 @@ impl Server {
                 };
                 // Reads replicate nothing and leave the dedup high-water
                 // alone: a re-sent read simply re-executes.
-                self.send_response(source, seq, resp, false);
+                self.answer(source, home, seq, one_way, resp, false);
             }
             Request::DataSubscribe { id, rank } => {
                 self.stats.data_ops += 1;
                 match self.store.subscribe(id, rank) {
                     Ok(true) => {
                         // Already closed: no mutation happened.
-                        self.send_response(source, seq, Response::Bool(true), false);
+                        self.answer(source, home, seq, one_way, Response::Bool(true), false);
                     }
                     Ok(false) => {
                         self.op(ReplOp::Subscribe { id, rank });
-                        self.send_response(source, seq, Response::Bool(false), true);
+                        self.answer(source, home, seq, one_way, Response::Bool(false), true);
                     }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
+                    Err(e) => self.answer(
+                        source,
+                        home,
+                        seq,
+                        one_way,
+                        Response::Error(e.message),
+                        false,
+                    ),
                 }
             }
             Request::DataInsert { id, key, value } => {
@@ -1700,9 +1789,16 @@ impl Server {
                 match self.store.insert(id, &key, value.clone()) {
                     Ok(()) => {
                         self.op(ReplOp::Insert { id, key, value });
-                        self.send_response(source, seq, Response::Ok, true);
+                        self.answer(source, home, seq, one_way, Response::Ok, true);
                     }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
+                    Err(e) => self.answer(
+                        source,
+                        home,
+                        seq,
+                        one_way,
+                        Response::Error(e.message),
+                        false,
+                    ),
                 }
             }
             Request::DataLookup { id, key } => {
@@ -1711,7 +1807,7 @@ impl Server {
                     Ok(v) => Response::MaybeBytes(v),
                     Err(e) => Response::Error(e.message),
                 };
-                self.send_response(source, seq, resp, false);
+                self.answer(source, home, seq, one_way, resp, false);
             }
             Request::DataEnumerate { id } => {
                 self.stats.data_ops += 1;
@@ -1719,7 +1815,7 @@ impl Server {
                     Ok(pairs) => Response::Pairs(pairs),
                     Err(e) => Response::Error(e.message),
                 };
-                self.send_response(source, seq, resp, false);
+                self.answer(source, home, seq, one_way, resp, false);
             }
             Request::DataClose { id } => {
                 self.stats.data_ops += 1;
@@ -1727,15 +1823,22 @@ impl Server {
                     Ok(subs) => {
                         self.op(ReplOp::CloseDatum { id });
                         self.notify_all(id, subs);
-                        self.send_response(source, seq, Response::Ok, true);
+                        self.answer(source, home, seq, one_way, Response::Ok, true);
                     }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
+                    Err(e) => self.answer(
+                        source,
+                        home,
+                        seq,
+                        one_way,
+                        Response::Error(e.message),
+                        false,
+                    ),
                 }
             }
             Request::DataExists { id } => {
                 self.stats.data_ops += 1;
                 let resp = Response::Bool(self.store.exists_closed(id));
-                self.send_response(source, seq, resp, false);
+                self.answer(source, home, seq, one_way, resp, false);
             }
             Request::DataIncrWriters { id, delta } => {
                 self.stats.data_ops += 1;
@@ -1743,9 +1846,16 @@ impl Server {
                     Ok(subs) => {
                         self.op(ReplOp::IncrWriters { id, delta });
                         self.notify_all(id, subs);
-                        self.send_response(source, seq, Response::Ok, true);
+                        self.answer(source, home, seq, one_way, Response::Ok, true);
                     }
-                    Err(e) => self.send_response(source, seq, Response::Error(e.message), false),
+                    Err(e) => self.answer(
+                        source,
+                        home,
+                        seq,
+                        one_way,
+                        Response::Error(e.message),
+                        false,
+                    ),
                 }
             }
         }
@@ -1992,6 +2102,7 @@ impl Server {
                     epoch: self.epoch,
                     fwd_out: self.fwd_out,
                     fwd_in: self.fwd_in,
+                    dead: self.dead_view(),
                 };
                 self.tx_sends.push((source, TAG_SRV, resp.encode()));
             }
@@ -2001,10 +2112,11 @@ impl Server {
                 epoch,
                 fwd_out,
                 fwd_in,
+                dead,
             } => {
                 if round == self.check_round && self.check_members.contains(&source) {
                     self.check_responses
-                        .insert(source, (quiescent, epoch, fwd_out, fwd_in));
+                        .insert(source, (quiescent, epoch, fwd_out, fwd_in, dead));
                     if self.check_responses.len() == self.check_members.len() {
                         return self.evaluate_check_round();
                     }
@@ -2299,6 +2411,7 @@ impl Server {
                 .collect(),
             seqs: self.client_seqs.clone(),
             resps: self.client_resps.clone(),
+            held: self.held_errors.clone(),
             outputs: self.outputs.clone(),
             finished: self.finished.clone(),
             quarantine: self.quarantine_reports.clone(),
@@ -2570,10 +2683,11 @@ impl Server {
         for (c, n) in ledger.credits {
             *self.lease_revoked.entry(c).or_insert(0) += n as usize;
         }
-        for (c, s) in ledger.seqs {
-            let hw = self.client_seqs.entry(c).or_default();
+        for (k, s) in ledger.seqs {
+            let hw = self.client_seqs.entry(k).or_default();
             *hw = (*hw).max(s);
         }
+        self.adopt_held_errors(ledger.held);
         // Re-send every cached response unprompted: the dead server may
         // have processed (and replicated) a request but died before the
         // response left, and the waiting client's retry could race this
@@ -2863,6 +2977,13 @@ impl Server {
         false
     }
 
+    /// The peers this server has confirmed dead, ascending.
+    fn dead_view(&self) -> Vec<u32> {
+        let mut dead: Vec<u32> = self.membership.dead().iter().map(|&r| r as u32).collect();
+        dead.sort_unstable();
+        dead
+    }
+
     /// All responses for the current round are in; decide.
     fn evaluate_check_round(&mut self) -> bool {
         self.check_in_flight = false;
@@ -2871,9 +2992,13 @@ impl Server {
         let mut fwd_in_sum = self.fwd_in;
         let mut snapshot: Vec<u64> = Vec::with_capacity(self.check_members.len() + 1);
         snapshot.push(self.epoch);
+        let dead = self.dead_view();
         for r in self.check_members.clone() {
-            let (q, e, fo, fi) = self.check_responses[&r];
-            all_quiescent &= q;
+            let (q, e, fo, fi, ref their_dead) = self.check_responses[&r];
+            // A member that has not yet confirmed a death this server has
+            // may be the successor still owing the dead peer's clients a
+            // home: they are nobody's to count as finished yet.
+            all_quiescent &= q && *their_dead == dead;
             fwd_out_sum += fo;
             fwd_in_sum += fi;
             snapshot.push(e);
@@ -2983,8 +3108,8 @@ impl Server {
                     // `shutdown` makes `Get` terminal (`NoMore`); dedup,
                     // cached-response replay and data ops work as usual
                     // over the merged state.
-                    if let Ok((req, seq)) = Request::decode_shared(&m.data) {
-                        self.handle_request(m.source, req, seq);
+                    if let Ok((req, seq, one_way)) = Request::decode_shared(&m.data) {
+                        self.handle_request(m.source, req, seq, one_way);
                     }
                     self.commit_tx();
                 }

@@ -548,3 +548,194 @@ mod lease_races {
         }
     }
 }
+
+mod one_way {
+    //! Data mutations on a client's home server are one-way: the client
+    //! does not wait, and re-sends them to the successor if the home dies
+    //! before confirming them. The server-side seq dedup must apply each
+    //! exactly once — across a failover, and across a whole-world resume.
+
+    use std::sync::Arc;
+
+    use adlb::{serve_ext, AdlbClient, CheckpointConfig, Layout, ServerConfig, ServerStats};
+    use mpisim::{FaultPlan, World};
+    use pfs::{Pfs, PfsConfig};
+
+    /// Datums per client run.
+    const DATUMS: u64 = 30;
+
+    /// Create and store `DATUMS` datums, read every one back, and return
+    /// the values that did not read back as stored plus any deferred
+    /// errors (a replay applied twice shows up as a double assignment).
+    fn write_and_verify(c: &mut AdlbClient) -> Vec<String> {
+        let mut ids = Vec::new();
+        for i in 0..DATUMS {
+            let id = c.alloc_id();
+            c.create(id, 0).expect("create");
+            c.store(id, i.to_le_bytes().to_vec()).expect("store");
+            ids.push((id, i));
+        }
+        let mut problems = Vec::new();
+        for (id, i) in ids {
+            match c.retrieve(id) {
+                Ok(Some(v)) if v[..] == i.to_le_bytes() => {}
+                other => problems.push(format!("datum {id}: {other:?}")),
+            }
+        }
+        problems.extend(c.take_deferred_errors().into_iter().map(|(_, e)| e.message));
+        problems
+    }
+
+    #[test]
+    fn home_death_replays_unconfirmed_one_way_ops_exactly_once() {
+        // Servers 3 and 4. Client 0's home is server 3; its datum ids
+        // alternate between the two shards, so one-way ops to its home
+        // interleave with awaited creates and stores on server 4 — the
+        // home's successor, which later adopts the home's shard. Kill the
+        // home at several points: whatever it had not processed (and
+        // replicated) is re-sent from the client's unconfirmed log, and
+        // must apply although server 4 already saw later seqs from the
+        // same client.
+        let layout = Layout::new(5, 2);
+        for kill_recvs in [6, 20, 45] {
+            let plan = FaultPlan::new().kill_after_recvs(3, kill_recvs);
+            let outcome = World::run_faulty(5, &plan, |comm| {
+                let rank = comm.rank();
+                if layout.is_server(rank) {
+                    serve_ext(comm, layout, super::replicated_config());
+                    return Vec::new();
+                }
+                let mut c = AdlbClient::new(comm, layout);
+                let problems = if rank == 0 {
+                    write_and_verify(&mut c)
+                } else {
+                    Vec::new()
+                };
+                c.finish();
+                problems
+            });
+            assert_eq!(outcome.killed, vec![3], "kill at recv {kill_recvs}");
+            let problems: Vec<String> = outcome.outputs.into_iter().flatten().flatten().collect();
+            assert!(
+                problems.is_empty(),
+                "kill at recv {kill_recvs}: {problems:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_way_ops_follow_the_home_across_a_death_noticed_elsewhere() {
+        // Servers 3, 4, 5; client 1's home is 4. Kill 4 early: 5 adopts
+        // its shard and client 1's home stream. The client keeps
+        // interleaving one-way ops on its home shard (now served by 5)
+        // with awaited ops on 5's own data until 5 dies too. The client
+        // may notice that on an awaited op for 5's data rather than on a
+        // home request; its unconfirmed home stream must still reach the
+        // new host (3) ahead of anything newer.
+        let layout = Layout::new(6, 3);
+        let plan = FaultPlan::new()
+            .kill_after_recvs(4, 8)
+            .kill_after_recvs(5, 150);
+        let outcome = World::run_faulty(6, &plan, |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                serve_ext(comm, layout, super::replicated_config());
+                return Vec::new();
+            }
+            let mut c = AdlbClient::new(comm, layout);
+            let mut problems = Vec::new();
+            if rank == 1 {
+                let mut ids = Vec::new();
+                for k in 0..DATUMS {
+                    // `3k + 1` lives on server 4 (the home), `3k + 2` on 5.
+                    let home_id = 3 * (100 + k) + 1;
+                    for id in [home_id, home_id + 1] {
+                        c.create(id, 0).expect("create");
+                        c.store(id, k.to_le_bytes().to_vec()).expect("store");
+                        ids.push((id, k));
+                    }
+                    // An awaited home request confirms the one-way ops
+                    // (and teaches the client where its home lives), so
+                    // the next unconfirmed ones precede an awaited op on
+                    // 5's data: that op is where 5's death shows.
+                    if let Err(e) = c.exists(home_id) {
+                        problems.push(e.message);
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                for (id, k) in ids {
+                    match c.retrieve(id) {
+                        Ok(Some(v)) if v[..] == k.to_le_bytes() => {}
+                        other => problems.push(format!("datum {id}: {other:?}")),
+                    }
+                }
+                problems.extend(c.take_deferred_errors().into_iter().map(|(_, e)| e.message));
+            }
+            c.finish();
+            problems
+        });
+        assert_eq!(outcome.killed, vec![4, 5]);
+        let problems: Vec<String> = outcome.outputs.into_iter().flatten().flatten().collect();
+        assert!(problems.is_empty(), "{problems:?}");
+    }
+
+    /// One single-server world checkpointing to `fs`; the client runs
+    /// [`write_and_verify`]. Returns the server's stats and the client's
+    /// problems — `None` when a fault took the world down.
+    fn checkpointed_run(
+        fs: &Arc<Pfs>,
+        resume: bool,
+        plan: &FaultPlan,
+    ) -> Option<(ServerStats, Vec<String>)> {
+        let layout = Layout::new(2, 1);
+        let config = ServerConfig {
+            checkpoint: Some(CheckpointConfig::new(fs.clone()).interval(1).resume(resume)),
+            ..ServerConfig::default()
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            World::run_faulty(2, plan, |comm| {
+                if layout.is_server(comm.rank()) {
+                    let stats = serve_ext(comm, layout, config.clone()).stats;
+                    return (Some(stats), Vec::new());
+                }
+                let mut c = AdlbClient::new(comm, layout);
+                let problems = write_and_verify(&mut c);
+                c.finish();
+                (None, problems)
+            })
+        }))
+        .ok()?;
+        let mut out = run.outputs.into_iter().flatten();
+        let (client, server) = (out.next()?, out.next()?);
+        Some((server.0?, client.1))
+    }
+
+    #[test]
+    fn resume_drops_one_way_ops_below_the_durable_high_water() {
+        // Run 1: the lone server dies after a third of the client's
+        // one-way creates and stores; the client then crashes out on the
+        // total server loss. Run 2 resumes from the checkpoint: the
+        // restarted client replays its request stream from seq 1, the
+        // replays below the durable high-water are dropped instead of
+        // applied a second time (which would fail as "already exists" or
+        // "double assignment"), and the rest executes fresh.
+        let fs = Arc::new(Pfs::new(PfsConfig::default()));
+        let crash = FaultPlan::new().kill_after_recvs(1, DATUMS * 2 / 3);
+        assert!(
+            checkpointed_run(&fs, false, &crash).is_none(),
+            "run 1 must lose its only server"
+        );
+        let (stats, problems) =
+            checkpointed_run(&fs, true, &FaultPlan::new()).expect("the resumed run completes");
+        assert!(problems.is_empty(), "{problems:?}");
+        assert_eq!(stats.pfs_restores, 1);
+        // Every datum's create and store plus one read each, less the
+        // replays the dedup dropped.
+        let issued = DATUMS * 3;
+        assert!(
+            stats.data_ops < issued,
+            "no replayed one-way op was dropped: {} of {issued} data ops executed",
+            stats.data_ops
+        );
+    }
+}

@@ -656,6 +656,7 @@ mod wal_replay {
             },
             5 => ReplOp::SeqResp {
                 client,
+                home: 9,
                 seq: i,
                 resp: Some(Bytes::from(format!("r{i}"))),
             },

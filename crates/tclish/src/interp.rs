@@ -274,7 +274,21 @@ impl Interp {
     /// A top-level `return` yields its value; `break`/`continue` outside a
     /// loop are errors, as in Tcl.
     pub fn eval(&mut self, script: &str) -> Result<String, TclError> {
-        match self.eval_internal(script) {
+        let result = self.eval_internal(script);
+        Self::top_level(result)
+    }
+
+    /// Evaluate an already parsed script (see [`crate::parse_script`]),
+    /// with the same top-level semantics as [`Interp::eval`]. A script
+    /// parsed once can be evaluated in any number of interpreters, and
+    /// bypasses the per-interpreter parse cache.
+    pub fn eval_script(&mut self, script: &Script) -> Result<String, TclError> {
+        let result = self.eval_parsed(script);
+        Self::top_level(result)
+    }
+
+    fn top_level(result: TclResult) -> Result<String, TclError> {
+        match result {
             Ok(v) => Ok(v),
             Err(Exception::Return(v)) => Ok(v),
             Err(Exception::Error(e)) => Err(e),

@@ -34,6 +34,7 @@ pub use error::{Exception, TclError, TclResult};
 pub use expr::{format_double, parse_number, Val};
 pub use interp::{CommandFn, Interp, PackageInit};
 pub use list::{format_list, parse_list};
+pub use parser::{parse_script, Script};
 
 #[cfg(test)]
 mod tests {

@@ -74,6 +74,24 @@ impl Ctx {
             self.client.put(wt, prio, target, action.into_bytes());
         }
     }
+
+    /// Take the first error of a failed one-way data op delivered to this
+    /// rank, with the tenant whose code issued the op (the rest describe
+    /// the same broken run and are dropped).
+    pub fn take_deferred_error(&mut self) -> Option<(u32, String)> {
+        let errors = self.client.take_deferred_errors();
+        errors.into_iter().next().map(|(t, e)| (t, e.message))
+    }
+
+    /// Store a scalar. An engine also records the datum as closed, so
+    /// `turbine::rule` on it skips the subscribe round trip.
+    fn store(&mut self, id: u64, value: Vec<u8>) -> Result<(), Exception> {
+        self.client.store(id, value).map_err(ex)?;
+        if self.is_engine {
+            self.engine.note_stored(id);
+        }
+        Ok(())
+    }
 }
 
 fn ex(e: impl std::fmt::Display) -> Exception {
@@ -120,12 +138,12 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
     });
     cmd!(
         "turbine::engines",
-        |_i, ctx: &SharedCtx, argv: &[String]| {
+        |interp: &mut Interp, _ctx: &SharedCtx, argv: &[String]| {
             need(argv, 1, 1, "turbine::engines")?;
-            // Engines = clients serving control work; recorded by run.rs in
-            // the interpreter as ::turbine::n_engines. Fallback: 1.
-            let _ = ctx;
-            Ok(String::new())
+            // run.rs records the engine count as ::turbine::n_engines.
+            Ok(interp
+                .get_var("turbine::n_engines")
+                .unwrap_or_else(|_| "1".to_string()))
         }
     );
     cmd!("turbine::unique", |_i, ctx: &SharedCtx, argv: &[String]| {
@@ -147,7 +165,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 2, 2, "turbine::store_void id")?;
             let id = parse_id(&argv[1])?;
-            ctx.borrow_mut().client.store(id, Vec::new()).map_err(ex)?;
+            ctx.borrow_mut().store(id, Vec::new())?;
             Ok(String::new())
         }
     );
@@ -161,9 +179,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 .parse()
                 .map_err(|_| ex(format!("store_integer: \"{}\" is not an integer", argv[2])))?;
             ctx.borrow_mut()
-                .client
-                .store(id, types::encode_integer(v).to_vec())
-                .map_err(ex)?;
+                .store(id, types::encode_integer(v).to_vec())?;
             Ok(String::new())
         }
     );
@@ -177,9 +193,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 .parse()
                 .map_err(|_| ex(format!("store_float: \"{}\" is not a float", argv[2])))?;
             ctx.borrow_mut()
-                .client
-                .store(id, types::encode_float(v).to_vec())
-                .map_err(ex)?;
+                .store(id, types::encode_float(v).to_vec())?;
             Ok(String::new())
         }
     );
@@ -188,10 +202,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
         |_i, ctx: &SharedCtx, argv: &[String]| {
             need(argv, 3, 3, "turbine::store_string id value")?;
             let id = parse_id(&argv[1])?;
-            ctx.borrow_mut()
-                .client
-                .store(id, argv[2].clone().into_bytes())
-                .map_err(ex)?;
+            ctx.borrow_mut().store(id, argv[2].clone().into_bytes())?;
             Ok(String::new())
         }
     );
@@ -207,7 +218,7 @@ pub fn register(interp: &mut Interp, ctx: SharedCtx) {
                 let b = blobs.borrow();
                 b.get(h).map_err(ex)?.as_bytes().to_vec()
             };
-            ctx.borrow_mut().client.store(id, bytes).map_err(ex)?;
+            ctx.borrow_mut().store(id, bytes)?;
             Ok(String::new())
         }
     );
@@ -624,6 +635,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, "7.0");
+    }
+
+    #[test]
+    fn engines_reports_the_engine_count() {
+        // No count recorded: one engine.
+        assert_eq!(run_tcl("turbine::engines").unwrap(), "1");
+        let out = run_tcl("set turbine::n_engines 3; turbine::engines").unwrap();
+        assert_eq!(out, "3");
     }
 
     #[test]

@@ -80,6 +80,14 @@ impl EngineState {
         self.closed_cache.contains(&id)
     }
 
+    /// Remember that `id` is closed because this engine stored it: a
+    /// later rule on it then fires without asking the server. (A store
+    /// that fails is a program error delivered with the next awaited
+    /// response, so trusting the local store never hides one.)
+    pub fn note_stored(&mut self, id: u64) {
+        self.closed_cache.insert(id);
+    }
+
     /// Whether this engine already subscribed to `id` (has rules waiting).
     pub fn is_waiting_on(&self, id: u64) -> bool {
         self.waiting.contains_key(&id)
@@ -231,6 +239,14 @@ mod tests {
         e.fire(9);
         assert!(e.known_closed(9));
         assert!(!e.known_closed(10));
+    }
+
+    #[test]
+    fn stored_ids_are_known_closed() {
+        let mut e = EngineState::new();
+        e.note_stored(4);
+        assert!(e.known_closed(4));
+        assert!(e.fire(4).is_empty());
     }
 
     #[test]

@@ -9,6 +9,34 @@
 //! snippets to Swift allowed for the rapid development of Swift builtins
 //! such as printf(), strcat(), etc." (§III.A).
 
+use std::sync::OnceLock;
+
+use tclish::{Interp, Script};
+
+/// The library, parsed once per process and shared by every rank's
+/// interpreters.
+///
+/// # Panics
+/// Panics if the library source does not parse (a defect in this file,
+/// not in any user program).
+fn parsed() -> &'static Script {
+    static PARSED: OnceLock<Script> = OnceLock::new();
+    PARSED.get_or_init(|| {
+        tclish::parse_script(TURBINE_LIB)
+            .unwrap_or_else(|e| panic!("turbine library failed to load: {e:?}"))
+    })
+}
+
+/// Define the runtime library in `interp` (see [`TURBINE_LIB`]).
+///
+/// # Panics
+/// Panics if the library fails to parse or evaluate.
+pub fn load(interp: &mut Interp) {
+    interp
+        .eval_script(parsed())
+        .unwrap_or_else(|e| panic!("turbine library failed to load: {e}"));
+}
+
 /// The library source. Evaluated on every engine and worker before any
 /// program code; provided as the in-memory "static package" `turbine`
 /// (§IV: no small-file storms at startup).
@@ -390,6 +418,20 @@ mod tests {
     use crate::commands::{self, Ctx};
     use crate::types::InterpPolicy;
 
+    #[test]
+    fn library_parses_once_per_process() {
+        let first = super::parsed();
+        assert!(!first.commands.is_empty());
+        assert!(
+            std::ptr::eq(first, super::parsed()),
+            "parsed once, then shared"
+        );
+        // Defining it needs no runtime commands: it only declares procs.
+        let mut interp = Interp::new();
+        super::load(&mut interp);
+        assert!(interp.eval("info procs swt:ibinop").is_ok());
+    }
+
     /// Evaluate a script on a 1-engine/1-server world with the library
     /// loaded, draining local control actions until quiescent, and return
     /// (result, captured stdout).
@@ -405,7 +447,7 @@ mod tests {
             let mut interp = Interp::new();
             let buf = interp.capture_output();
             commands::register(&mut interp, ctx.clone());
-            interp.eval(super::TURBINE_LIB).unwrap();
+            super::load(&mut interp);
             let result = interp.eval(script).unwrap();
             // Mini engine loop: drain local control actions, then pump
             // ADLB close notifications until no rules remain.
@@ -594,7 +636,7 @@ mod tests {
             let ctx = Ctx::new(client, true, InterpPolicy::Retain);
             let mut interp = Interp::new();
             commands::register(&mut interp, ctx.clone());
-            interp.eval(super::TURBINE_LIB).unwrap();
+            super::load(&mut interp);
             interp
                 .eval(
                     "set c [turbine::unique]; turbine::create $c integer\n\

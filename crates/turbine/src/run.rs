@@ -259,9 +259,7 @@ pub fn run_rank_with(
 
     // The runtime library plus the program's own definitions are an
     // in-memory "static package" (§IV): no filesystem involved.
-    interp
-        .eval(crate::library::TURBINE_LIB)
-        .unwrap_or_else(|e| panic!("turbine library failed to load: {e}"));
+    crate::library::load(&mut interp);
     if !program.preamble.is_empty() {
         interp
             .eval(&program.preamble)
@@ -319,9 +317,7 @@ fn build_interp(
     let buf = interp.capture_output();
     commands::register(&mut interp, ctx.clone());
     setup(&mut interp);
-    interp
-        .eval(crate::library::TURBINE_LIB)
-        .unwrap_or_else(|e| panic!("turbine library failed to load: {e}"));
+    crate::library::load(&mut interp);
     let mut err = None;
     if !preamble.is_empty() {
         if let Err(e) = interp.eval(preamble) {
@@ -433,7 +429,7 @@ pub fn run_rank_tenants_with(
                     .collect();
             let mut first_err: Option<String> = None;
             let mut bufs: Vec<(u32, Rc<RefCell<String>>)> = Vec::new();
-            let executed = {
+            let deferred = {
                 let mut build = |tenant: u32| {
                     let preamble = preambles
                         .get(&tenant)
@@ -456,7 +452,9 @@ pub fn run_rank_tenants_with(
                 };
                 worker::worker_loop_tenants(&ctx, &mut build, &args_of)
             };
-            let _ = executed;
+            if first_err.is_none() {
+                first_err = deferred.map(|(tenant, e)| format!("tenant {tenant}: {e}"));
+            }
             bufs.sort_by_key(|(t, _)| *t);
             let tenant_stdout: Vec<(u32, String)> = bufs
                 .into_iter()
@@ -516,6 +514,9 @@ fn engine_loop_contained(
             .borrow_mut()
             .client
             .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
+        if let Some((_, e)) = ctx.borrow_mut().take_deferred_error() {
+            note(error, e);
+        }
         match task {
             None => {
                 let c = ctx.borrow();
@@ -588,6 +589,11 @@ pub fn engine_loop(
             .borrow_mut()
             .client
             .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
+        // A one-way data op (e.g. a store) that failed on the server: the
+        // same program error an awaited store would have raised in place.
+        if let Some((_, e)) = ctx.borrow_mut().take_deferred_error() {
+            return Err(tclish::TclError::new(e));
+        }
         match task {
             None => {
                 let c = ctx.borrow();
@@ -945,6 +951,52 @@ result = sum(range(n))}
             .collect();
         assert_eq!(healthy, "survived\n");
         assert!(outs[1].program_error.is_none());
+    }
+
+    #[test]
+    fn deferred_store_error_is_charged_to_its_tenant() {
+        // Tenant 0's leaf stores a future its engine already stored. The
+        // store is one-way, so the worker learns of the failure only after
+        // the task was acknowledged — it must still become tenant 0's
+        // program error, and only tenant 0's.
+        use adlb::TenantSpec;
+        let programs = vec![
+            (
+                TenantSpec::new(0, "broken"),
+                TurbineProgram {
+                    preamble: String::new(),
+                    main: r#"
+                        set x [turbine::unique]; turbine::create $x integer
+                        turbine::store_integer $x 1
+                        turbine::spawn work 0 "turbine::store_integer $x 2"
+                    "#
+                    .into(),
+                    args: Vec::new(),
+                },
+            ),
+            (
+                TenantSpec::new(1, "healthy"),
+                TurbineProgram {
+                    preamble: String::new(),
+                    main: "turbine::spawn work 0 {puts survived}".into(),
+                    args: Vec::new(),
+                },
+            ),
+        ];
+        let config = TurbineConfig {
+            engines: 2,
+            ..TurbineConfig::default()
+        };
+        let outs = World::run(5, move |comm| run_rank_tenants(comm, &config, &programs));
+        let errors: Vec<&str> = outs
+            .iter()
+            .filter_map(|o| o.program_error.as_deref())
+            .collect();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("tenant 0") && errors[0].contains("double assignment"),
+            "{errors:?}"
+        );
     }
 
     #[test]

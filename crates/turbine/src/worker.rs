@@ -11,6 +11,13 @@
 //! and the worker keeps serving. A failed task may have left the embedded
 //! Python/R interpreters in an arbitrary state, so they are reinitialized
 //! regardless of the configured §III.C policy.
+//!
+//! A store on the worker's home server is one-way (see
+//! [`adlb::AdlbClient`]), so its failure — e.g. a double assignment —
+//! surfaces only after the task was acknowledged. The loops check for such
+//! deferred errors after every `get` and turn them into program errors:
+//! retrying an acknowledged task cannot undo a store that broke single
+//! assignment.
 
 use std::collections::HashMap;
 
@@ -74,9 +81,9 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
 /// the server tier before the next blocking get, so a later death of this
 /// rank cannot lose it.
 ///
-/// The `Result` is kept for API stability; task failures are contained
-/// (counted in `Ctx::tasks_failed` and reported to the server), so this
-/// never returns `Err`.
+/// Task failures are contained (counted in `Ctx::tasks_failed` and
+/// reported to the server); the loop fails only with a deferred error of
+/// a one-way data op, which no retry can repair.
 pub fn worker_loop(
     interp: &mut Interp,
     ctx: &SharedCtx,
@@ -86,6 +93,9 @@ pub fn worker_loop(
     loop {
         stream.ship(&mut ctx.borrow_mut().client);
         let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
+        if let Some((_, e)) = ctx.borrow_mut().take_deferred_error() {
+            return Err(TclError::new(e));
+        }
         let Some(task) = task else {
             return Ok(count);
         };
@@ -103,14 +113,19 @@ pub fn worker_loop(
 /// `build` constructs the interpreter (plus its output streamer) for a
 /// tenant on first use; `args_of` yields the tenant's program arguments,
 /// installed into the shared context on each switch.
+///
+/// Returns the first deferred one-way error, with the tenant whose task
+/// caused it; the loop keeps serving after one, so the failure stays
+/// contained to that tenant's program.
 pub fn worker_loop_tenants(
     ctx: &SharedCtx,
     build: &mut dyn FnMut(u32) -> (Interp, OutputStreamer),
     args_of: &dyn Fn(u32) -> HashMap<String, String>,
-) -> u64 {
+) -> Option<(u32, String)> {
     let mut interps: HashMap<u32, (Interp, OutputStreamer)> = HashMap::new();
     let mut last_tenant: Option<u32> = None;
     let mut count = 0u64;
+    let mut first_error = None;
     loop {
         // Ship every tenant's output increments under its own tag before
         // blocking, so a later death of this rank loses at most the task
@@ -121,8 +136,10 @@ pub fn worker_loop_tenants(
             stream.ship(&mut c.client);
         }
         let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
+        let deferred = ctx.borrow_mut().take_deferred_error();
+        first_error = first_error.or(deferred);
         let Some(task) = task else {
-            return count;
+            return first_error;
         };
         let tenant = task.tenant;
         if last_tenant != Some(tenant) {
@@ -174,7 +191,7 @@ mod tests {
             let mut interp = Interp::new();
             let buf = interp.capture_output();
             commands::register(&mut interp, ctx.clone());
-            interp.eval(crate::library::TURBINE_LIB).unwrap();
+            crate::library::load(&mut interp);
             let mut stream = crate::run::OutputStreamer::new(buf.clone());
             let n = super::worker_loop(&mut interp, &ctx, &mut stream).unwrap();
             let inits = ctx.borrow().interp_inits;

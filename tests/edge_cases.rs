@@ -2,6 +2,7 @@
 //! every leaf kind, main-block sugar, scale smoke.
 
 use swiftt::core::{Runtime, SwiftTError};
+use swiftt::turbine::TurbineProgram;
 
 #[test]
 fn empty_range_foreach_completes() {
@@ -95,6 +96,33 @@ fn tcl_leaf_error_propagates() {
         .unwrap_err();
     match err {
         SwiftTError::Runtime(m) => assert!(m.contains("template exploded"), "{m}"),
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn failed_leaf_store_ends_the_run_with_the_diagnosis() {
+    // The leaf's store lands on its worker's home server, so it is
+    // one-way: the failure reaches the worker only with its next awaited
+    // response, after the task was acknowledged. The run must still end
+    // with the data store's diagnosis and an error result.
+    let err = Runtime::new(3)
+        .run_turbine(TurbineProgram {
+            preamble: String::new(),
+            main: r#"
+                set x [turbine::unique]; turbine::create $x integer
+                turbine::store_integer $x 1
+                turbine::spawn work 0 "turbine::store_integer $x 2"
+            "#
+            .into(),
+            args: Vec::new(),
+        })
+        .unwrap_err();
+    match err {
+        SwiftTError::Runtime(m) => assert!(
+            m.contains("worker") && m.contains("double assignment"),
+            "{m}"
+        ),
         other => panic!("{other:?}"),
     }
 }

@@ -222,6 +222,44 @@ fn second_server_death_at_replication_2_output_matches_fault_free() {
     }
 }
 
+/// The engine's creates and stores on its home server are one-way, so a
+/// home death strands some of them unconfirmed; the engine re-sends them
+/// to the promoted successor. Each must apply exactly once — a replay
+/// applied twice fails the run with a double assignment, a dropped one
+/// hangs it — and the output must match the fault-free run's.
+#[test]
+fn home_server_death_replays_unconfirmed_one_way_stores_exactly_once() {
+    // new(8).servers(2): engine 0's home is server 6. Engine-side
+    // arithmetic gives the engine a one-way store per iteration besides
+    // its creates.
+    let src = r#"
+        foreach i in [0:99] {
+            int j = i * 3 + 1;
+            printf("v %d %d", i, j);
+        }
+    "#;
+    let clean = Runtime::new(8)
+        .servers(2)
+        .replication(2)
+        .run(src)
+        .expect("fault-free run");
+    let mut want: Vec<&str> = clean.stdout.lines().collect();
+    want.sort_unstable();
+    assert_eq!(want.len(), 100);
+    for kill_recvs in [15, 60, 150] {
+        let r = Runtime::new(8)
+            .servers(2)
+            .replication(2)
+            .faults(FaultPlan::new().kill_after_recvs(6, kill_recvs))
+            .run(src)
+            .unwrap_or_else(|e| panic!("home death at recv {kill_recvs}: {e}"));
+        assert_eq!(r.killed_ranks, vec![6], "kill at recv {kill_recvs}");
+        let mut got = unique_lines(&r.stdout);
+        got.sort_unstable();
+        assert_eq!(got, want, "kill at recv {kill_recvs}");
+    }
+}
+
 #[test]
 fn server_death_at_replication_1_fails_cleanly_not_hangs() {
     // The same death schedule with replication disabled: the shard is
@@ -380,7 +418,9 @@ fn server_death_at_replication_1_with_checkpoint_completes() {
 /// subsumed from 9, so 10's death loses every in-memory holder of that
 /// shard. The durable tier must bring it back: 10's forced post-promotion
 /// segment covers both homes, and the redirect tombstone left for 9
-/// points the restorer at it.
+/// points the restorer at it. Rank 10 receives about 55 messages in this
+/// run (one-way data ops need no response traffic); 35 lands after its
+/// promotion of 9 and well before the end.
 #[test]
 fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
     let src = r#"foreach i in [0:299] { printf("task %d", i); }"#;
@@ -394,7 +434,7 @@ fn kill_all_shard_holders_restores_from_pfs_checkpoint() {
 
     let plan = FaultPlan::new()
         .kill_after_recvs(9, 10)
-        .kill_after_recvs(10, 80);
+        .kill_after_recvs(10, 35);
     let r = Runtime::new(12)
         .servers(4)
         .replication(2)

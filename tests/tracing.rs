@@ -87,8 +87,10 @@ fn trace_reconciles_under_server_death() {
     // still reconcile — eval spans count every executed task (including
     // requeued leases' reruns), the promotion shows up as exactly one
     // failover instant, and the re-replication that restores R records
-    // one recovery window iff the stats say R was restored.
-    let plan = FaultPlan::new().kill_after_recvs(8, 10);
+    // one recovery window iff the stats say R was restored. The master
+    // receives roughly 400-600 messages in this run; at 150 it has
+    // accepted tasks (and traced them) and is far from done.
+    let plan = FaultPlan::new().kill_after_recvs(8, 150);
     let r = Runtime::new(12)
         .servers(4)
         .replication(2)
