@@ -75,8 +75,8 @@ impl ClientConfig {
 /// when the datum lives on this client's home server: they return at
 /// once, per-pair FIFO delivery orders them before every later request
 /// to that server, and a failure comes back with the next awaited
-/// response — as the `Err` of the data call that received it, and in
-/// [`AdlbClient::take_deferred_errors`]. Mutations of other servers' data
+/// response, to be taken with [`AdlbClient::take_deferred_errors`] (the
+/// awaited call itself is unaffected). Mutations of other servers' data
 /// stay awaited. `DESIGN.md` documents the wire protocol.
 ///
 /// ## Failover
@@ -375,18 +375,14 @@ impl AdlbClient {
         }
     }
 
-    /// One awaited data op. Fails with the first one-way error that rode
-    /// in on its response, if any: the data call is how the caller learns
-    /// that an earlier one-way op failed.
-    fn data_request(&mut self, id: u64, req: &Request) -> Result<Response, DataError> {
+    /// One awaited data op. A one-way error that rode in on its response
+    /// belongs to an earlier op, not this one: it is kept for
+    /// [`AdlbClient::take_deferred_errors`] only.
+    fn data_request(&mut self, id: u64, req: &Request) -> Response {
         let t0 = trace::now_us();
-        let before = self.deferred.len();
         let resp = self.request(self.layout.data_owner(id), req);
         trace::record_since(trace::KIND_DATA_OP, id, t0);
-        match self.deferred.get(before) {
-            Some((_, e)) => Err(e.clone()),
-            None => Ok(resp),
-        }
+        resp
     }
 
     /// A data mutation whose only reply is "ok or error". One-way when the
@@ -397,7 +393,7 @@ impl AdlbClient {
     /// against this client's later requests to its home.
     fn mutate(&mut self, id: u64, req: &Request, op: &str) -> Result<(), DataError> {
         if self.layout.data_owner(id) != self.my_server {
-            return Self::expect_ok(self.data_request(id, req)?, op);
+            return Self::expect_ok(self.data_request(id, req), op);
         }
         self.send_one_way(req.encode());
         // An instant: the op counts as a data op, but nothing blocked on it.
@@ -753,7 +749,7 @@ impl AdlbClient {
 
     /// Fetch a closed scalar's value (`None` while still open).
     pub fn retrieve(&mut self, id: u64) -> Result<Option<Bytes>, DataError> {
-        match self.data_request(id, &Request::DataRetrieve { id })? {
+        match self.data_request(id, &Request::DataRetrieve { id }) {
             Response::MaybeBytes(v) => Ok(v),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("retrieve", other)),
@@ -767,7 +763,7 @@ impl AdlbClient {
             id,
             rank: notify_rank,
         };
-        match self.data_request(id, &req)? {
+        match self.data_request(id, &req) {
             Response::Bool(closed) => Ok(closed),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("subscribe", other)),
@@ -791,7 +787,7 @@ impl AdlbClient {
             id,
             key: key.to_string(),
         };
-        match self.data_request(id, &req)? {
+        match self.data_request(id, &req) {
             Response::MaybeBytes(v) => Ok(v),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("lookup", other)),
@@ -800,7 +796,7 @@ impl AdlbClient {
 
     /// Enumerate a container's members in subscript order.
     pub fn enumerate(&mut self, id: u64) -> Result<Vec<(String, Bytes)>, DataError> {
-        match self.data_request(id, &Request::DataEnumerate { id })? {
+        match self.data_request(id, &Request::DataEnumerate { id }) {
             Response::Pairs(p) => Ok(p),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("enumerate", other)),
@@ -821,7 +817,7 @@ impl AdlbClient {
 
     /// Whether the datum exists and is closed.
     pub fn exists(&mut self, id: u64) -> Result<bool, DataError> {
-        match self.data_request(id, &Request::DataExists { id })? {
+        match self.data_request(id, &Request::DataExists { id }) {
             Response::Bool(b) => Ok(b),
             Response::Error(e) => Err(DataError { message: e }),
             other => Err(Self::unexpected("exists", other)),
@@ -1016,7 +1012,8 @@ mod tests {
     fn double_store_is_reported() {
         // A store on the home server is one-way: the second store returns
         // at once, and its "double assignment" comes back from the next
-        // awaited call instead.
+        // awaited call instead — which itself succeeds, since the error
+        // is not its own.
         let out = with_runtime(2, 1, |mut c| {
             if c.rank() == 0 {
                 let id = c.alloc_id();
@@ -1024,18 +1021,23 @@ mod tests {
                 c.store(id, b"a".to_vec()).unwrap();
                 c.store(id, b"b".to_vec())
                     .expect("a one-way store returns before the server sees it");
-                let err = c.retrieve(id).unwrap_err();
-                let taken = c.take_deferred_errors();
+                let before = c.take_deferred_errors();
+                let value = c.retrieve(id).expect("the awaited call succeeds");
+                let after = c.take_deferred_errors();
                 c.finish();
-                return (err.message, taken);
+                return (before, value, after);
             }
             c.finish();
-            (String::new(), Vec::new())
+            (Vec::new(), None, Vec::new())
         });
-        let (err, taken) = out[0].clone().unwrap();
-        assert!(err.contains("double assignment"), "{err}");
-        assert_eq!(taken.len(), 1, "{taken:?}");
-        assert_eq!(taken[0].1.message, err);
+        let (before, value, after) = out[0].clone().unwrap();
+        assert!(before.is_empty(), "{before:?}");
+        assert_eq!(value.as_deref(), Some(&b"a"[..]));
+        assert_eq!(after.len(), 1, "{after:?}");
+        assert!(
+            after[0].1.message.contains("double assignment"),
+            "{after:?}"
+        );
     }
 
     #[test]

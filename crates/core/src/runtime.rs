@@ -534,17 +534,17 @@ impl Runtime {
                 .unwrap_or_default();
             let share_of_delivered = (contended_total > 0)
                 .then(|| stats.delivered_contended as f64 / contended_total as f64);
-            // The tenant's engine holds its program error; worker-side
-            // containment messages are prefixed with the tenant id.
+            // The tenant's engine holds its program error; each worker
+            // keeps the first error it contained for every tenant.
             let engine_err = per_rank
                 .get(spec.id as usize)
                 .and_then(|o| o.as_ref())
                 .and_then(|o| o.program_error.clone());
             let worker_err = per_rank.iter().flatten().find_map(|o| {
-                o.program_error
-                    .as_ref()
-                    .filter(|e| e.starts_with(&format!("tenant {}", spec.id)))
-                    .cloned()
+                o.tenant_errors
+                    .iter()
+                    .find(|(t, _)| *t == spec.id)
+                    .map(|(_, e)| e.clone())
             });
             let latency = if self.tracing {
                 LatencyStats::from_durations(tenant_task_durations(&result.traces, spec.id))

@@ -75,12 +75,11 @@ impl Ctx {
         }
     }
 
-    /// Take the first error of a failed one-way data op delivered to this
-    /// rank, with the tenant whose code issued the op (the rest describe
-    /// the same broken run and are dropped).
-    pub fn take_deferred_error(&mut self) -> Option<(u32, String)> {
+    /// Take the errors of failed one-way data ops delivered to this rank,
+    /// each with the tenant whose code issued the op.
+    pub fn take_deferred_errors(&mut self) -> Vec<(u32, String)> {
         let errors = self.client.take_deferred_errors();
-        errors.into_iter().next().map(|(t, e)| (t, e.message))
+        errors.into_iter().map(|(t, e)| (t, e.message)).collect()
     }
 
     /// Store a scalar. An engine also records the datum as closed, so

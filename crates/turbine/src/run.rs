@@ -6,6 +6,7 @@
 //! from the layout (Fig. 2) and runs to global termination.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use adlb::{AdlbClient, Layout, ServerConfig, ServerStats, TenantSpec, TenantStats};
@@ -162,6 +163,10 @@ pub struct RankOutput {
     /// The first program error this rank contained (multi-tenant runs
     /// isolate failures per tenant instead of panicking the world).
     pub program_error: Option<String>,
+    /// The first error of each tenant a multi-tenant worker contained, in
+    /// tenant order: a worker serves every tenant, so one error per rank
+    /// would hide the others.
+    pub tenant_errors: Vec<(u32, String)>,
 }
 
 impl RankOutput {
@@ -182,6 +187,7 @@ impl RankOutput {
             tenant: None,
             tenant_stdout: Vec::new(),
             program_error: None,
+            tenant_errors: Vec::new(),
         }
     }
 }
@@ -427,7 +433,7 @@ pub fn run_rank_tenants_with(
                     .iter()
                     .map(|(s, p)| (s.id, (p.preamble.clone(), p.args.clone())))
                     .collect();
-            let mut first_err: Option<String> = None;
+            let mut errors: BTreeMap<u32, String> = BTreeMap::new();
             let mut bufs: Vec<(u32, Rc<RefCell<String>>)> = Vec::new();
             let deferred = {
                 let mut build = |tenant: u32| {
@@ -437,9 +443,7 @@ pub fn run_rank_tenants_with(
                         .unwrap_or("");
                     let (interp, buf, err) = build_interp(&ctx, config, size, preamble, &setup);
                     if let Some(e) = err {
-                        if first_err.is_none() {
-                            first_err = Some(format!("tenant {tenant}: {e}"));
-                        }
+                        errors.insert(tenant, e);
                     }
                     bufs.push((tenant, buf.clone()));
                     (interp, OutputStreamer::new(buf))
@@ -452,8 +456,10 @@ pub fn run_rank_tenants_with(
                 };
                 worker::worker_loop_tenants(&ctx, &mut build, &args_of)
             };
-            if first_err.is_none() {
-                first_err = deferred.map(|(tenant, e)| format!("tenant {tenant}: {e}"));
+            // A tenant whose preamble failed keeps that as its error: it
+            // explains whatever else went wrong for the tenant.
+            for (tenant, e) in deferred {
+                errors.entry(tenant).or_insert(e);
             }
             bufs.sort_by_key(|(t, _)| *t);
             let tenant_stdout: Vec<(u32, String)> = bufs
@@ -472,7 +478,10 @@ pub fn run_rank_tenants_with(
                 tasks_failed: c.tasks_failed,
                 interp_inits: c.interp_inits,
                 tenant_stdout,
-                program_error: first_err,
+                tenant_errors: errors
+                    .into_iter()
+                    .map(|(t, e)| (t, format!("tenant {t}: {e}")))
+                    .collect(),
                 ..RankOutput::empty(role)
             }
         }
@@ -514,7 +523,8 @@ fn engine_loop_contained(
             .borrow_mut()
             .client
             .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
-        if let Some((_, e)) = ctx.borrow_mut().take_deferred_error() {
+        // All of an engine's ops are its own tenant's: one error is enough.
+        if let Some((_, e)) = ctx.borrow_mut().take_deferred_errors().into_iter().next() {
             note(error, e);
         }
         match task {
@@ -590,8 +600,9 @@ pub fn engine_loop(
             .client
             .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
         // A one-way data op (e.g. a store) that failed on the server: the
-        // same program error an awaited store would have raised in place.
-        if let Some((_, e)) = ctx.borrow_mut().take_deferred_error() {
+        // same program error an awaited store would have raised in place
+        // (the first is enough: several describe the same broken program).
+        if let Some((_, e)) = ctx.borrow_mut().take_deferred_errors().into_iter().next() {
             return Err(tclish::TclError::new(e));
         }
         match task {
@@ -988,15 +999,56 @@ result = sum(range(n))}
             ..TurbineConfig::default()
         };
         let outs = World::run(5, move |comm| run_rank_tenants(comm, &config, &programs));
-        let errors: Vec<&str> = outs
-            .iter()
-            .filter_map(|o| o.program_error.as_deref())
-            .collect();
+        let errors: Vec<&(u32, String)> = outs.iter().flat_map(|o| &o.tenant_errors).collect();
         assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(errors[0].0, 0, "{errors:?}");
         assert!(
-            errors[0].starts_with("tenant 0") && errors[0].contains("double assignment"),
+            errors[0].1.starts_with("tenant 0:") && errors[0].1.contains("double assignment"),
             "{errors:?}"
         );
+        assert!(outs.iter().all(|o| o.program_error.is_none()));
+    }
+
+    #[test]
+    fn one_worker_keeps_the_deferred_errors_of_every_tenant() {
+        // Both tenants' leaves break single assignment, and the only
+        // worker runs both: its one-way store errors may arrive in one
+        // batch, and each tenant's report must still get its own.
+        use adlb::TenantSpec;
+        let broken = |name: &str| TurbineProgram {
+            preamble: String::new(),
+            main: format!(
+                r#"
+                set x [turbine::unique]; turbine::create $x integer
+                turbine::store_integer $x 1
+                turbine::spawn work 0 "puts {name}; turbine::store_integer $x 2"
+                "#
+            ),
+            args: Vec::new(),
+        };
+        let programs = vec![
+            (TenantSpec::new(0, "a"), broken("a")),
+            (TenantSpec::new(1, "b"), broken("b")),
+        ];
+        let config = TurbineConfig {
+            engines: 2,
+            ..TurbineConfig::default()
+        };
+        let outs = World::run(4, move |comm| run_rank_tenants(comm, &config, &programs));
+        assert_eq!(outs[2].role, Role::Worker);
+        assert_eq!(outs[2].tasks_executed, 2, "one worker ran both leaves");
+        let errors = &outs[2].tenant_errors;
+        assert_eq!(
+            errors.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            [0, 1],
+            "{errors:?}"
+        );
+        for (t, e) in errors {
+            assert!(
+                e.starts_with(&format!("tenant {t}:")) && e.contains("double assignment"),
+                "{errors:?}"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! retrying an acknowledged task cannot undo a store that broke single
 //! assignment.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use tclish::{Interp, TclError};
 
@@ -93,7 +93,7 @@ pub fn worker_loop(
     loop {
         stream.ship(&mut ctx.borrow_mut().client);
         let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
-        if let Some((_, e)) = ctx.borrow_mut().take_deferred_error() {
+        if let Some((_, e)) = ctx.borrow_mut().take_deferred_errors().into_iter().next() {
             return Err(TclError::new(e));
         }
         let Some(task) = task else {
@@ -114,18 +114,18 @@ pub fn worker_loop(
 /// tenant on first use; `args_of` yields the tenant's program arguments,
 /// installed into the shared context on each switch.
 ///
-/// Returns the first deferred one-way error, with the tenant whose task
-/// caused it; the loop keeps serving after one, so the failure stays
-/// contained to that tenant's program.
+/// Returns the first deferred one-way error of each tenant whose tasks
+/// caused any, in tenant order; the loop keeps serving after one, so each
+/// failure stays contained to its own tenant's program.
 pub fn worker_loop_tenants(
     ctx: &SharedCtx,
     build: &mut dyn FnMut(u32) -> (Interp, OutputStreamer),
     args_of: &dyn Fn(u32) -> HashMap<String, String>,
-) -> Option<(u32, String)> {
-    let mut interps: HashMap<u32, (Interp, OutputStreamer)> = HashMap::new();
+) -> Vec<(u32, String)> {
+    let mut interps: BTreeMap<u32, (Interp, OutputStreamer)> = BTreeMap::new();
     let mut last_tenant: Option<u32> = None;
     let mut count = 0u64;
-    let mut first_error = None;
+    let mut errors: BTreeMap<u32, String> = BTreeMap::new();
     loop {
         // Ship every tenant's output increments under its own tag before
         // blocking, so a later death of this rank loses at most the task
@@ -136,14 +136,15 @@ pub fn worker_loop_tenants(
             stream.ship(&mut c.client);
         }
         let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
-        let deferred = ctx.borrow_mut().take_deferred_error();
-        first_error = first_error.or(deferred);
+        for (tenant, e) in ctx.borrow_mut().take_deferred_errors() {
+            errors.entry(tenant).or_insert(e);
+        }
         let Some(task) = task else {
-            return first_error;
+            return errors.into_iter().collect();
         };
         let tenant = task.tenant;
+        let mut c = ctx.borrow_mut();
         if last_tenant != Some(tenant) {
-            let mut c = ctx.borrow_mut();
             // Tenant switch: embedded interpreters and blobs must not
             // leak across programs, whatever the retain policy says.
             if last_tenant.is_some() {
@@ -152,9 +153,13 @@ pub fn worker_loop_tenants(
                 c.blobs.borrow_mut().clear();
             }
             c.args = args_of(tenant);
-            c.client.set_tenant(tenant);
             last_tenant = Some(tenant);
         }
+        // Re-tag on every task, not just on a switch: the output shipping
+        // above left the client on whichever tenant it shipped last, and
+        // the tag decides which tenant a one-way op's error is charged to.
+        c.client.set_tenant(tenant);
+        drop(c);
         let (interp, _stream) = interps.entry(tenant).or_insert_with(|| build(tenant));
         execute_task(interp, ctx, &task, &mut count);
     }
@@ -280,6 +285,63 @@ mod tests {
         let (retried, quarantined, _) = out[2].unwrap();
         assert_eq!(retried, 3);
         assert_eq!(quarantined, 1);
+    }
+
+    /// 1 submitter + 1 multi-tenant worker + 1 server. The submitter puts
+    /// `(tenant, script)` tasks targeted at the worker with falling
+    /// priorities, so the worker runs them in the given order. Returns the
+    /// worker's per-tenant errors.
+    fn run_tenant_worker(tasks: &'static [(u32, &'static str)]) -> Vec<(u32, String)> {
+        let layout = Layout::new(3, 1);
+        let out = World::run(3, move |comm| {
+            let rank = comm.rank();
+            if layout.is_server(rank) {
+                adlb::serve(comm, layout, adlb::ServerConfig::default());
+                return None;
+            }
+            if rank == 0 {
+                let mut client = AdlbClient::new(comm, layout);
+                for (i, (tenant, t)) in tasks.iter().enumerate() {
+                    let prio = (tasks.len() - i) as i32;
+                    client.set_tenant(*tenant);
+                    client.put(adlb::WORK_TYPE_WORK, prio, Some(1), t.as_bytes().to_vec());
+                }
+                client.finish();
+                return None;
+            }
+            let client = AdlbClient::new(comm, layout);
+            let ctx = Ctx::new(client, false, InterpPolicy::Retain);
+            let mut build = |_tenant: u32| {
+                let mut interp = Interp::new();
+                let buf = interp.capture_output();
+                commands::register(&mut interp, ctx.clone());
+                crate::library::load(&mut interp);
+                (interp, crate::run::OutputStreamer::new(buf))
+            };
+            Some(super::worker_loop_tenants(&ctx, &mut build, &|_| {
+                Default::default()
+            }))
+        });
+        out.into_iter().flatten().next().unwrap()
+    }
+
+    #[test]
+    fn deferred_error_is_charged_to_the_tenant_of_consecutive_tasks() {
+        // The worker holds interpreters for tenants 0 and 1 when tenant 0
+        // runs twice in a row: shipping output between the two tasks tags
+        // the client with tenant 1, and the second task's failing one-way
+        // store must still be charged to tenant 0.
+        let errors = run_tenant_worker(&[
+            (1, "puts b"),
+            (0, "puts a"),
+            (
+                0,
+                "turbine::create 7 integer; turbine::store_integer 7 1; turbine::store_integer 7 2",
+            ),
+        ]);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(errors[0].0, 0, "{errors:?}");
+        assert!(errors[0].1.contains("double assignment"), "{errors:?}");
     }
 
     #[test]
