@@ -1276,6 +1276,12 @@ impl Server {
     /// Pop up to `cap` matching tasks for the parked request `p`, each
     /// paired with its accept stamp (trace clock, µs).
     fn take_from_queue(&mut self, p: &Parked, cap: usize) -> Option<Vec<(Task, u64)>> {
+        let cap = match p.tenant {
+            None => self
+                .tenants
+                .batch_cap(cap, || self.queue.tenants_with_work(&p.work_types)),
+            Some(_) => cap,
+        };
         let first = self.next_scheduled(p)?;
         let mut batch = vec![first];
         while batch.len() < cap {

@@ -259,6 +259,23 @@ impl TenantSched {
         None
     }
 
+    /// How many tasks one worker `get` may take, given the client's
+    /// prefetch `cap` and the tenants that have queued untargeted work
+    /// (`with_work`, only consulted in a multi-tenant world). While one
+    /// tenant is alone, a delivery takes at most its DRR quantum (its
+    /// weight): otherwise idle workers prefetch whole batches of
+    /// whichever program submitted first, a head start the round robin
+    /// never takes back once the others' work arrives.
+    pub fn batch_cap(&self, cap: usize, with_work: impl FnOnce() -> Vec<u32>) -> usize {
+        if self.order.len() < 2 {
+            return cap;
+        }
+        match with_work()[..] {
+            [t] => cap.min(self.weight(t) as usize),
+            _ => cap,
+        }
+    }
+
     /// Snapshot the per-tenant stats, sorted by tenant id.
     pub fn stats_rows(&self) -> Vec<(u32, TenantStats)> {
         let mut rows: Vec<(u32, TenantStats)> = self.stats.iter().map(|(t, s)| (*t, *s)).collect();
@@ -294,6 +311,22 @@ mod tests {
             .map(|(id, w)| TenantSpec::new(*id, &format!("t{id}")).weight(*w))
             .collect();
         TenantSched::new(&specs)
+    }
+
+    #[test]
+    fn lone_tenant_batches_are_capped_at_its_weight() {
+        let s = sched(&[(0, 3), (1, 1)]);
+        assert_eq!(s.batch_cap(8, || vec![0]), 3);
+        assert_eq!(s.batch_cap(8, || vec![1]), 1);
+        assert_eq!(
+            s.batch_cap(8, || vec![0, 1]),
+            8,
+            "contended: DRR elects each task"
+        );
+        assert_eq!(s.batch_cap(2, || vec![0]), 2);
+        // A solo world keeps full prefetch batches.
+        assert_eq!(sched(&[(0, 1)]).batch_cap(8, || vec![0]), 8);
+        assert_eq!(TenantSched::new(&[]).batch_cap(8, || vec![0]), 8);
     }
 
     #[test]

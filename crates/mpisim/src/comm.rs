@@ -30,7 +30,8 @@ impl From<Rank> for Src {
 /// Tag selector for receives: a specific tag or the MPI `ANY_TAG` wildcard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagSel {
-    /// Match messages with any tag.
+    /// Match messages with any tag below [`RESERVED_TAG_BASE`]: like
+    /// MPI's `ANY_TAG`, it never matches collective traffic.
     Any,
     /// Match only messages with this tag.
     Of(Tag),

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::comm::{Message, Src, TagSel};
-use crate::{Rank, Tag};
+use crate::{Rank, Tag, RESERVED_TAG_BASE};
 
 /// One in-flight message.
 #[derive(Debug, Clone)]
@@ -30,7 +30,9 @@ impl Envelope {
             Src::Of(r) => self.source == r,
         };
         let tag_ok = match tag {
-            TagSel::Any => true,
+            // Collectives run in their own context, as in MPI: a wildcard
+            // receive never consumes their traffic.
+            TagSel::Any => self.tag < RESERVED_TAG_BASE,
             TagSel::Of(t) => self.tag == t,
         };
         src_ok && tag_ok

@@ -1,6 +1,6 @@
 //! Ordering and stress properties of the simulated MPI substrate.
 
-use mpisim::{Src, TagSel, World};
+use mpisim::{Src, TagSel, World, RESERVED_TAG_BASE};
 
 /// MPI's non-overtaking guarantee: messages from one source with one tag
 /// arrive in send order, under heavy concurrent traffic from many ranks.
@@ -103,6 +103,24 @@ fn try_recv_semantics() {
             let m = comm.try_recv(Src::Of(0), TagSel::Of(1)).expect("queued");
             assert_eq!(m.data[0], 7);
             assert!(comm.try_recv(Src::Any, TagSel::Any).is_none());
+        }
+    });
+}
+
+/// A wildcard receive never sees collective traffic: rank 1 enters the
+/// barrier first, and rank 0 polls with `(Any, Any)` only once rank 1's
+/// barrier message is queued (probed by its reserved tag).
+#[test]
+fn wildcard_try_recv_skips_collective_traffic() {
+    World::run(2, |comm| {
+        if comm.rank() == 0 {
+            while !(RESERVED_TAG_BASE..=u32::MAX).any(|t| comm.iprobe(1, t).is_some()) {
+                std::thread::yield_now();
+            }
+            assert!(comm.try_recv(Src::Any, TagSel::Any).is_none());
+            comm.barrier();
+        } else {
+            comm.barrier();
         }
     });
 }

@@ -9,7 +9,7 @@
 //! Container writes reserve writer slots so an array closes exactly when
 //! its last (possibly remote) writer finishes — Swift/T's slot counting.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::ast::*;
 use crate::parser;
@@ -77,6 +77,21 @@ struct VarInfo {
     ty: Type,
     /// Tcl variable holding the datum id.
     tcl: String,
+    /// Engine-side Tcl value (an int literal, `$__val`, `$__idx`) when
+    /// the engine already holds it as text byte-identical to what
+    /// `turbine::retrieve_integer` would return. Leaf calls in the same
+    /// proc pass it by value; it never crosses a proc boundary.
+    value: Option<String>,
+}
+
+impl VarInfo {
+    fn future(ty: Type, tcl: String) -> Self {
+        VarInfo {
+            ty,
+            tcl,
+            value: None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,8 +104,7 @@ enum FuncKind {
 struct FuncSig {
     outputs: Vec<Type>,
     inputs: Vec<Type>,
-    /// Recorded for diagnostics and future call-site specialization.
-    #[allow(dead_code)]
+    /// Call sites of a Tcl leaf pass value-known arguments by value.
     kind: FuncKind,
 }
 
@@ -100,6 +114,8 @@ struct Scope {
     /// Containers declared in the *current top frame* (closed at scope
     /// end), in declaration order.
     owned_containers: Vec<String>,
+    /// Tcl variables whose datum id some emitted code reads.
+    datums_used: HashSet<String>,
 }
 
 impl Scope {
@@ -107,6 +123,7 @@ impl Scope {
         Scope {
             frames: vec![HashMap::new()],
             owned_containers: Vec::new(),
+            datums_used: HashSet::new(),
         }
     }
 
@@ -125,6 +142,21 @@ impl Scope {
         self.frames.iter().rev().find_map(|f| f.get(name))
     }
 
+    /// Look `name` up for code that reads its datum id, and record the
+    /// read: a loop variable's future is created only if one happens.
+    fn datum(&mut self, name: &str) -> Option<&VarInfo> {
+        let info = self.frames.iter().rev().find_map(|f| f.get(name))?;
+        self.datums_used.insert(info.tcl.clone());
+        Some(info)
+    }
+
+    /// `name` as a parameter of a generated proc: only the datum id
+    /// crosses the boundary, never a value binding.
+    fn capture(&mut self, name: &str) -> Option<VarInfo> {
+        self.datum(name)
+            .map(|i| VarInfo::future(i.ty.clone(), i.tcl.clone()))
+    }
+
     fn push(&mut self) {
         self.frames.push(HashMap::new());
     }
@@ -138,6 +170,10 @@ impl Scope {
 struct Codegen {
     preamble: String,
     sigs: HashMap<String, FuncSig>,
+    /// Tcl leaf definitions, for variants generated at call sites.
+    leaves: HashMap<String, FuncDef>,
+    /// By-value leaf variants already in the preamble.
+    leaf_variants: HashSet<String>,
     tmp: u64,
     procn: u64,
 }
@@ -176,6 +212,8 @@ impl Codegen {
         Codegen {
             preamble: String::new(),
             sigs: HashMap::new(),
+            leaves: HashMap::new(),
+            leaf_variants: HashSet::new(),
             tmp: 0,
             procn: 0,
         }
@@ -213,6 +251,7 @@ impl Codegen {
                         return err(f.line, "leaf functions cannot have array outputs");
                     }
                 }
+                self.leaves.insert(f.name.clone(), f.clone());
             }
             self.sigs.insert(
                 f.name.clone(),
@@ -252,7 +291,7 @@ impl Codegen {
     fn emit_function(&mut self, f: &FuncDef) -> Result<(), CompileError> {
         match &f.body {
             FuncBody::Composite(body) => self.emit_composite(f, body),
-            FuncBody::TclLeaf { package, template } => self.emit_tcl_leaf(f, package, template),
+            FuncBody::TclLeaf { .. } => self.emit_tcl_leaf(f, &vec![false; f.inputs.len()]),
         }
     }
 
@@ -262,13 +301,7 @@ impl Codegen {
         for p in f.outputs.iter().chain(&f.inputs) {
             let tcl = format!("p_{}", p.name);
             scope
-                .declare(
-                    &p.name,
-                    VarInfo {
-                        ty: p.ty.clone(),
-                        tcl: tcl.clone(),
-                    },
-                )
+                .declare(&p.name, VarInfo::future(p.ty.clone(), tcl.clone()))
                 .map_err(|m| CompileError {
                     message: m,
                     line: f.line,
@@ -289,12 +322,15 @@ impl Codegen {
 
     /// The paper's §III.A leaf feature: a Tcl template with `<<x>>`
     /// placeholders, automatic dataflow insertion, and type conversion.
-    fn emit_tcl_leaf(
-        &mut self,
-        f: &FuncDef,
-        package: &Option<(String, String)>,
-        template: &str,
-    ) -> Result<(), CompileError> {
+    /// Emits the rule/task proc pair of one variant of leaf `f`.
+    /// `by_value[k]` marks input `k` as passed by value: the task takes
+    /// it as is instead of retrieving it, and the rule does not wait on
+    /// it.
+    fn emit_tcl_leaf(&mut self, f: &FuncDef, by_value: &[bool]) -> Result<(), CompileError> {
+        let FuncBody::TclLeaf { package, template } = &f.body else {
+            unreachable!("emit_tcl_leaf on a composite function")
+        };
+        let name = leaf_proc_name(&f.name, by_value);
         let params: Vec<String> = f
             .outputs
             .iter()
@@ -326,8 +362,12 @@ impl Codegen {
         if let Some((pkg, _version)) = package {
             task.push_str(&format!("package require {pkg}\n"));
         }
-        for p in &f.inputs {
+        for (p, &value) in f.inputs.iter().zip(by_value) {
             let retrieve = match p.ty {
+                _ if value => {
+                    task.push_str(&format!("set {} $p_{}\n", p.name, p.name));
+                    continue;
+                }
                 Type::Int | Type::Bool => "turbine::retrieve_integer",
                 Type::Float => "turbine::retrieve_float",
                 Type::Str => "turbine::retrieve_string",
@@ -361,11 +401,14 @@ impl Codegen {
             }
         }
 
-        // Rule half: wait on all inputs, then run the task as leaf work.
+        // Rule half: wait on the future inputs, then run the task as leaf
+        // work.
         let input_list = f
             .inputs
             .iter()
-            .map(|p| format!("$p_{}", p.name))
+            .zip(by_value)
+            .filter(|(_, &value)| !value)
+            .map(|(p, _)| format!("$p_{}", p.name))
             .collect::<Vec<_>>()
             .join(" ");
         let arg_refs = params
@@ -374,12 +417,22 @@ impl Codegen {
             .collect::<Vec<_>>()
             .join(" ");
         self.preamble.push_str(&format!(
-            "proc swift:{name} {{{params}}} {{\n    turbine::rule [list {input_list}] \"swift:{name}_task {arg_refs}\" work\n}}\nproc swift:{name}_task {{{params}}} {{\n{task_body}}}\n",
-            name = f.name,
+            "proc {name} {{{params}}} {{\n    turbine::rule [list {input_list}] \"{name}_task {arg_refs}\" work\n}}\nproc {name}_task {{{params}}} {{\n{task_body}}}\n",
             params = params.join(" "),
             task_body = indent(&task),
         ));
         Ok(())
+    }
+
+    /// The rule proc of leaf `leaf` for the by-value mask `by_value`,
+    /// emitted on first use.
+    fn leaf_variant(&mut self, leaf: &str, by_value: &[bool]) -> Result<String, CompileError> {
+        let name = leaf_proc_name(leaf, by_value);
+        if self.leaf_variants.insert(name.clone()) {
+            let f = self.leaves[leaf].clone();
+            self.emit_tcl_leaf(&f, by_value)?;
+        }
+        Ok(name)
     }
 
     // ---- statements -----------------------------------------------------
@@ -443,13 +496,7 @@ impl Codegen {
                     scope.owned_containers.push(tcl.clone());
                 }
                 scope
-                    .declare(
-                        name,
-                        VarInfo {
-                            ty: ty.clone(),
-                            tcl: tcl.clone(),
-                        },
-                    )
+                    .declare(name, VarInfo::future(ty.clone(), tcl.clone()))
                     .map_err(|m| CompileError {
                         message: m,
                         line: *line,
@@ -466,7 +513,7 @@ impl Codegen {
             } => match target {
                 LValue::Var(name) => {
                     let (tcl, ty) = {
-                        let info = scope.lookup(name).ok_or_else(|| CompileError {
+                        let info = scope.datum(name).ok_or_else(|| CompileError {
                             message: format!("undefined variable \"{name}\""),
                             line: *line,
                         })?;
@@ -479,7 +526,7 @@ impl Codegen {
                 }
                 LValue::Index(name, idx) => {
                     let (ctcl, elem_ty) = {
-                        let info = scope.lookup(name).ok_or_else(|| CompileError {
+                        let info = scope.datum(name).ok_or_else(|| CompileError {
                             message: format!("undefined variable \"{name}\""),
                             line: *line,
                         })?;
@@ -562,7 +609,7 @@ impl Codegen {
                 }
                 let mut argv = Vec::new();
                 for (t, oty) in targets.iter().zip(&sig.outputs) {
-                    let info = scope.lookup(t).ok_or_else(|| CompileError {
+                    let info = scope.datum(t).ok_or_else(|| CompileError {
                         message: format!("undefined variable \"{t}\""),
                         line: *line,
                     })?;
@@ -578,12 +625,7 @@ impl Codegen {
                     }
                     argv.push(format!("${}", info.tcl));
                 }
-                for (a, ity) in call.args.iter().zip(&sig.inputs.clone()) {
-                    let (td, _) = self.compile_expr_expect(a, ity, scope, out)?;
-                    argv.push(format!("${td}"));
-                }
-                out.push_str(&format!("swift:{} {}\n", call.name, argv.join(" ")));
-                Ok(())
+                self.emit_user_call(&call.name, &sig, argv, &call.args, scope, out)
             }
             Stmt::Foreach {
                 value_var,
@@ -766,7 +808,7 @@ impl Codegen {
     ) -> Result<(String, Type), CompileError> {
         // Variables need no copy: reuse the existing datum.
         if let Expr::Var(name) = e {
-            let info = scope.lookup(name).ok_or_else(|| CompileError {
+            let info = scope.datum(name).ok_or_else(|| CompileError {
                 message: format!("undefined variable \"{name}\""),
                 line: e.line(),
             })?;
@@ -863,7 +905,7 @@ impl Codegen {
                 Ok(())
             }
             Expr::Var(name) => {
-                let src = scope.lookup(name).unwrap().tcl.clone();
+                let src = scope.datum(name).unwrap().tcl.clone();
                 out.push_str(&format!(
                     "swt:copy {} ${target} ${src}\n",
                     target_ty.turbine_name()
@@ -871,7 +913,7 @@ impl Codegen {
                 Ok(())
             }
             Expr::Index(name, idx, line) => {
-                let ctcl = scope.lookup(name).unwrap().tcl.clone();
+                let ctcl = scope.datum(name).unwrap().tcl.clone();
                 let (idx_td, idx_ty) = self.compile_expr(idx, scope, out)?;
                 if idx_ty != Type::Int {
                     return err(*line, "array subscripts must be int");
@@ -1137,14 +1179,46 @@ impl Codegen {
                         )
                     }
                 }
-                for (a, ity) in c.args.iter().zip(&sig.inputs) {
+                self.emit_user_call(&c.name, &sig, argv, &c.args, scope, out)
+            }
+        }
+    }
+
+    /// Emit a call to user function `name`; `argv` holds the output datum
+    /// ids. A Tcl leaf takes each argument whose value the engine already
+    /// holds by value, through the leaf variant for that mask; every other
+    /// argument is compiled to a future.
+    fn emit_user_call(
+        &mut self,
+        name: &str,
+        sig: &FuncSig,
+        mut argv: Vec<String>,
+        args: &[Expr],
+        scope: &mut Scope,
+        out: &mut String,
+    ) -> Result<(), CompileError> {
+        let mut by_value = Vec::with_capacity(args.len());
+        for (a, ity) in args.iter().zip(&sig.inputs) {
+            let value = match sig.kind {
+                FuncKind::TclLeaf => known_value(a, ity, scope),
+                FuncKind::Composite => None,
+            };
+            by_value.push(value.is_some());
+            match value {
+                Some(v) => argv.push(v),
+                None => {
                     let (td, _) = self.compile_expr_expect(a, ity, scope, out)?;
                     argv.push(format!("${td}"));
                 }
-                out.push_str(&format!("swift:{} {}\n", c.name, argv.join(" ")));
-                Ok(())
             }
         }
+        let proc = if by_value.contains(&true) {
+            self.leaf_variant(name, &by_value)?
+        } else {
+            format!("swift:{name}")
+        };
+        out.push_str(&format!("{proc} {}\n", argv.join(" ")));
+        Ok(())
     }
 
     // ---- foreach -------------------------------------------------------------
@@ -1168,8 +1242,8 @@ impl Codegen {
         let free = free_vars(body, &bound);
         let mut captured: Vec<(String, VarInfo)> = Vec::new();
         for name in &free {
-            if let Some(info) = scope.lookup(name) {
-                captured.push((name.clone(), info.clone()));
+            if let Some(info) = scope.capture(name) {
+                captured.push((name.clone(), info));
             }
             // Unknown names will error during body compilation with a
             // proper line number.
@@ -1210,42 +1284,42 @@ impl Codegen {
                 .map_err(|m| CompileError { message: m, line })?;
         }
         body_scope.push();
-        let mut body_code = String::new();
-        // Loop variable TDs created inside the body from passed values.
-        let vv_tcl = format!("lv_{value_var}");
-        self.emit_create(&mut body_code, &vv_tcl, &elem_ty);
-        let store = match elem_ty {
-            Type::Int | Type::Bool => "turbine::store_integer",
-            Type::Float => "turbine::store_float",
-            Type::Str => "turbine::store_string",
-            _ => unreachable!(),
-        };
-        body_code.push_str(&format!("{store} ${vv_tcl} $__val\n"));
-        body_scope
-            .declare(
-                value_var,
-                VarInfo {
-                    ty: elem_ty.clone(),
-                    tcl: vv_tcl,
-                },
-            )
-            .map_err(|m| CompileError { message: m, line })?;
+        // Loop variables: the body proc receives them as values. A range
+        // loop's are integers in canonical form, so leaf calls take them
+        // by value; each gets a future only if some code reads its id.
+        let by_value = matches!(iterable, Iterable::Range(..));
+        let mut loop_vars = vec![(value_var, elem_ty.clone(), "$__val")];
         if let Some(iv) = index_var {
-            let iv_tcl = format!("lv_{iv}");
-            self.emit_create(&mut body_code, &iv_tcl, &Type::Int);
-            body_code.push_str(&format!("turbine::store_integer ${iv_tcl} $__idx\n"));
+            loop_vars.push((iv, Type::Int, "$__idx"));
+        }
+        for (name, ty, val) in &loop_vars {
+            let info = VarInfo {
+                ty: ty.clone(),
+                tcl: format!("lv_{name}"),
+                value: by_value.then(|| val.to_string()),
+            };
             body_scope
-                .declare(
-                    iv,
-                    VarInfo {
-                        ty: Type::Int,
-                        tcl: iv_tcl,
-                    },
-                )
+                .declare(name, info)
                 .map_err(|m| CompileError { message: m, line })?;
         }
-        self.emit_block(body, &mut body_scope, &mut body_code)?;
-        self.close_scope_containers(&body_scope, &mut body_code);
+        let mut stmts_code = String::new();
+        self.emit_block(body, &mut body_scope, &mut stmts_code)?;
+        self.close_scope_containers(&body_scope, &mut stmts_code);
+        let mut body_code = String::new();
+        for (name, ty, val) in &loop_vars {
+            let tcl = format!("lv_{name}");
+            if body_scope.datums_used.contains(&tcl) {
+                self.emit_create(&mut body_code, &tcl, ty);
+                let store = match ty {
+                    Type::Int | Type::Bool => "turbine::store_integer",
+                    Type::Float => "turbine::store_float",
+                    Type::Str => "turbine::store_string",
+                    _ => unreachable!(),
+                };
+                body_code.push_str(&format!("{store} ${tcl} {val}\n"));
+            }
+        }
+        body_code.push_str(&stmts_code);
 
         let proc_name = self.fresh_proc("loop");
         let cap_params: Vec<String> = captured.iter().map(|(_, i)| i.tcl.clone()).collect();
@@ -1323,8 +1397,8 @@ impl Codegen {
             let free = free_vars(branch, &[]);
             let mut captured: Vec<(String, VarInfo)> = Vec::new();
             for name in &free {
-                if let Some(info) = scope.lookup(name) {
-                    captured.push((name.clone(), info.clone()));
+                if let Some(info) = scope.capture(name) {
+                    captured.push((name.clone(), info));
                 }
             }
             let mut bscope = Scope::new();
@@ -1382,6 +1456,40 @@ impl Codegen {
             else_refs.join(" ")
         ));
         Ok(())
+    }
+}
+
+/// The engine-side value of argument `e` for an input of type `ty`, when
+/// it is an int or boolean the engine holds as text identical to what
+/// `turbine::retrieve_integer` returns: an int or bool literal, or a
+/// variable bound to such a value in this proc. Strings stay futures
+/// (spaces or braces would split in the rule's action string), and so do
+/// floats (their text matches `turbine::retrieve_float` only when
+/// formatted by `format_double`).
+fn known_value(e: &Expr, ty: &Type, scope: &Scope) -> Option<String> {
+    if !matches!(ty, Type::Int | Type::Bool) {
+        return None;
+    }
+    match e {
+        Expr::IntLit(v) => Some(v.to_string()),
+        Expr::BoolLit(b) => Some((*b as i64).to_string()),
+        Expr::Var(name) => scope.lookup(name)?.value.clone(),
+        _ => None,
+    }
+}
+
+/// The rule proc of a leaf variant. The all-futures variant is `swift:f`;
+/// the others are `swift:f:__v` plus one 0/1 digit per input (1 = by
+/// value), a name no Swift identifier can produce.
+fn leaf_proc_name(leaf: &str, by_value: &[bool]) -> String {
+    if by_value.contains(&true) {
+        let mask: String = by_value
+            .iter()
+            .map(|&v| if v { '1' } else { '0' })
+            .collect();
+        format!("swift:{leaf}:__v{mask}")
+    } else {
+        format!("swift:{leaf}")
     }
 }
 
@@ -1717,6 +1825,140 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+}
+
+#[cfg(test)]
+mod by_value_tests {
+    use super::*;
+
+    const WORK: &str = r#"(int o) work (int i) [ "set <<o>> <<i>>" ];
+"#;
+
+    fn compile_with_work(body: &str) -> CompiledProgram {
+        compile(&format!("{WORK}{body}")).unwrap()
+    }
+
+    #[test]
+    fn loop_index_uses_by_value_variant() {
+        let p = compile_with_work("foreach i in [0:9] { int s = work(i); }");
+        // The all-futures pair is still emitted exactly as before.
+        assert!(p.preamble.starts_with(
+            "proc swift:work {p_o p_i} {\n    turbine::rule [list $p_i] \"swift:work_task $p_o $p_i\" work\n}\nproc swift:work_task {p_o p_i} {\nset i [turbine::retrieve_integer $p_i]\n"
+        ));
+        assert!(p.preamble.contains(
+            "proc swift:work:__v1 {p_o p_i} {\n    turbine::rule [list ] \"swift:work:__v1_task $p_o $p_i\" work\n}"
+        ));
+        assert!(p
+            .preamble
+            .contains("proc swift:work:__v1_task {p_o p_i} {\nset i $p_i\n"));
+        assert!(p.preamble.contains("swift:work:__v1 $v_s_1 $__val\n"));
+    }
+
+    #[test]
+    fn index_feeding_only_leaves_gets_no_future() {
+        let p = compile_with_work("foreach v, k in [0:9] { int s = work(v); int t = work(k); }");
+        assert!(!p.preamble.contains("lv_"), "{}", p.preamble);
+        assert!(p.preamble.contains("swift:work:__v1 $v_t_2 $__idx\n"));
+    }
+
+    #[test]
+    fn index_keeps_future_when_its_id_is_read() {
+        let uses = [
+            "int s = work(i + 1);",
+            "int A[]; A[0] = 1; int s = A[i];",
+            "int s = twice(i);",
+            "printf(\"%d\", i);",
+            "float f = itof(i);",
+        ];
+        for u in uses {
+            let p = compile_with_work(&format!(
+                "(int o) twice (int a) {{ o = a * 2; }}\nforeach i in [0:3] {{ int w = work(i); {u} }}"
+            ));
+            assert!(
+                p.preamble.contains(
+                    "set lv_i [turbine::unique]\nturbine::create $lv_i integer\nturbine::store_integer $lv_i $__val\n"
+                ),
+                "{u}: {}",
+                p.preamble
+            );
+            // The leaf call still takes the value.
+            assert!(p.preamble.contains("$__val\n"), "{u}");
+        }
+    }
+
+    #[test]
+    fn captured_loop_variable_keeps_only_its_datum_id() {
+        let p = compile(
+            r#"(int o) pair (int a, int b) [ "set <<o>> [expr {<<a>> + <<b>>}]" ];
+            foreach i in [0:2] {
+                foreach j in [0:2] { int s = pair(i, j); }
+                if (true) { int t = pair(i, 9); }
+            }"#,
+        )
+        .unwrap();
+        // The inner loop and the branch receive i's datum id, not $__val.
+        assert!(p.preamble.contains("proc swp:loop1 {__val __idx lv_i}"));
+        assert!(p
+            .preamble
+            .contains("swift:pair:__v01 $v_s_1 $lv_i $__val\n"));
+        assert!(p.preamble.contains(" $lv_i 9\n"));
+        // The outer loop therefore creates and stores i's future.
+        assert!(p.preamble.contains("turbine::store_integer $lv_i $__val\n"));
+        // One variant per mask, however many call sites use it.
+        assert_eq!(p.preamble.matches("proc swift:pair:__v01 ").count(), 1);
+    }
+
+    #[test]
+    fn int_and_bool_literals_pass_by_value() {
+        let p = compile(
+            r#"(int o) work (int i) [ "set <<o>> <<i>>" ];
+            (int o) flag (boolean b) [ "set <<o>> <<b>>" ];
+            (float o) half (float x) [ "set <<o>> [expr {<<x>> / 2}]" ];
+            (string o) echo (string s) [ "set <<o>> <<s>>" ];
+            int a = work(5);
+            int b = flag(true);
+            float c = half(3.0);
+            string d = echo("x");
+            float e = half(3);"#,
+        )
+        .unwrap();
+        assert!(p.main.contains("swift:work:__v1 $v_a_1 5\n"));
+        assert!(p.main.contains("swift:flag:__v1 $v_b_2 1\n"));
+        // Floats, strings and promoted ints stay futures.
+        assert!(p
+            .main
+            .contains("turbine::store_float $t4 3.0\nswift:half $v_c_3 $t4\n"));
+        assert!(p.main.contains("swift:echo $v_d_5 $t6\n"));
+        assert!(p.main.contains("swt:itof $"));
+        assert!(!p.preamble.contains("swift:half:__v"));
+        assert_eq!(
+            p.main.matches("turbine::store_integer").count(),
+            1,
+            "only the promoted 3 is stored: {}",
+            p.main
+        );
+    }
+
+    #[test]
+    fn array_foreach_values_stay_futures() {
+        let p = compile_with_work("int A[]; A[0] = 4; foreach v in A { int s = work(v); }");
+        assert!(p.preamble.contains("turbine::store_integer $lv_v $__val\n"));
+        assert!(p.preamble.contains("swift:work $v_s_"));
+        assert!(!p.preamble.contains("swift:work:__v"));
+    }
+
+    #[test]
+    fn variant_names_do_not_collide_with_user_functions() {
+        let p = compile(
+            r#"(int o) work (int i) [ "set <<o>> <<i>>" ];
+            (int o) work__v1 (int i) [ "set <<o>> [expr {<<i>> + 1}]" ];
+            foreach i in [0:1] { int a = work(i); int b = work__v1(i); }"#,
+        )
+        .unwrap();
+        assert!(p.preamble.contains("proc swift:work:__v1 {"));
+        assert!(p.preamble.contains("proc swift:work__v1 {"));
+        assert!(p.preamble.contains("proc swift:work__v1:__v1 {"));
     }
 }
 

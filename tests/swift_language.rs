@@ -347,3 +347,50 @@ fn float_arrays() {
     "#);
     assert_eq!(out, "1.5\n");
 }
+
+#[test]
+fn loop_indices_and_literals_reach_leaves_by_value() {
+    // The outer index reaches `pair` through a nested loop and an `if`
+    // branch (as a captured future), alongside by-value inner indices,
+    // literals, and an arithmetic argument.
+    let out = run(r#"
+        (int o) pair (int a, int b) [ "set <<o>> [expr {<<a>> * 100 + <<b>>}]" ];
+        foreach i in [1:3] {
+            foreach j in [0:1] {
+                int p = pair(i, j);
+                int s = pair(i + 1, j);
+                printf("p=%d s=%d", p, s);
+            }
+            if (i >= 2) {
+                int q = pair(i, 9);
+                printf("q=%d", q);
+            }
+        }
+        foreach k in [4:5] {
+            if (true) {
+                int u = pair(k, 0);
+                printf("u=%d", u);
+            }
+        }
+        int t = pair(7, true);
+        printf("t=%d", t);
+    "#);
+    let mut lines: Vec<&str> = out.lines().collect();
+    lines.sort();
+    assert_eq!(
+        lines,
+        vec![
+            "p=100 s=200",
+            "p=101 s=201",
+            "p=200 s=300",
+            "p=201 s=301",
+            "p=300 s=400",
+            "p=301 s=401",
+            "q=209",
+            "q=309",
+            "t=701",
+            "u=400",
+            "u=500",
+        ]
+    );
+}
