@@ -8,7 +8,7 @@ use adlb::{merge_tenant_rows, TenantQuota, TenantSpec, TenantStats};
 use mpisim::{FaultPlan, LatencyStats, World};
 use pfs::{Pfs, PfsConfig};
 use tclish::PackageInit;
-use turbine::{InterpPolicy, RankOutput, TurbineConfig, TurbineProgram};
+use turbine::{InterpPolicy, TurbineConfig, TurbineProgram};
 
 use crate::native::NativeLibrary;
 use crate::result::{tenant_task_durations, LatencyReport, RunResult, SwiftTError, TenantReport};
@@ -438,16 +438,16 @@ impl Runtime {
         })
     }
 
-    /// Run already-compiled (or hand-written) Turbine code.
+    /// Run already-compiled (or hand-written) Turbine code. A solo run is
+    /// tenant 0 of a one-tenant run on every engine of the machine; the
+    /// failure its tenant would report fails the run instead.
     pub fn run_turbine(&self, program: TurbineProgram) -> Result<RunResult, SwiftTError> {
-        self.validate_config(self.engines)?;
-        let config = self.turbine_config();
-        config.validate(self.ranks);
-        let setup = self.interp_setup();
-        let (result, _per_rank, _streamed) = self.run_world(&config, |comm| {
-            turbine::run_rank_with(comm, &config, &program, &setup)
-        })?;
-        Ok(result)
+        let mut result =
+            self.run_programs(self.engines, vec![(TenantSpec::new(0, "main"), program)])?;
+        match result.tenants.pop().and_then(|t| t.error) {
+            Some(e) => Err(SwiftTError::Runtime(e)),
+            None => Ok(result),
+        }
     }
 
     /// Compile every program queued with [`Runtime::submit`] and run them
@@ -490,42 +490,79 @@ impl Runtime {
         &self,
         programs: Vec<(TenantSpec, TurbineProgram)>,
     ) -> Result<RunResult, SwiftTError> {
-        self.validate_config(programs.len())?;
-        let mut config = self.turbine_config();
-        config.engines = programs.len();
-        config.server.tenants = programs.iter().map(|(s, _)| s.clone()).collect();
-        let setup = self.interp_setup();
-        let (mut result, per_rank, streamed) = self.run_world(&config, |comm| {
-            turbine::run_rank_tenants_with(comm, &config, &programs, &setup)
-        })?;
+        self.run_programs(programs.len(), programs)
+    }
 
-        // Per-tenant accounting rows, merged across servers.
+    /// The one run path: execute `programs` on a machine with `engines`
+    /// engine ranks and assemble the result, with one report per program
+    /// in [`RunResult::tenants`]. A program whose first engine (rank `i`
+    /// for `programs[i]`) was killed cannot have finished, so that death
+    /// is its error.
+    fn run_programs(
+        &self,
+        engines: usize,
+        programs: Vec<(TenantSpec, TurbineProgram)>,
+    ) -> Result<RunResult, SwiftTError> {
+        self.validate_config(engines)?;
+        let mut config = self.turbine_config();
+        config.engines = engines;
+        let setup = self.interp_setup();
+        let start = Instant::now();
+        let world = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            World::run_faulty_traced(self.ranks, &self.faults, self.tracing, |comm| {
+                turbine::run_rank_tenants(comm, &config, &programs, &setup)
+            })
+        }));
+        let elapsed = start.elapsed();
+        let outcome = world.map_err(|p| {
+            let msg = p
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "rank panicked".to_string());
+            SwiftTError::Runtime(msg)
+        })?;
+        let per_rank = outcome.outputs;
+
+        // Streams accumulated on the server tier recover what a killed
+        // rank shipped before dying; for survivors the locally captured
+        // stdout is authoritative (and, fault free, identical to the
+        // streamed copy).
+        let mut streamed: HashMap<usize, BTreeMap<u32, String>> = HashMap::new();
+        let mut truncated: Vec<usize> = Vec::new();
         let mut rows: Vec<(u32, TenantStats)> = Vec::new();
         for o in per_rank.iter().flatten() {
+            for (r, t, s) in &o.server_streams {
+                let e = streamed.entry(*r).or_default().entry(*t).or_default();
+                if s.len() > e.len() {
+                    s.clone_into(e);
+                }
+            }
+            truncated.extend(o.truncated_streams.iter().copied());
+            // Per-tenant accounting rows, merged across servers.
             merge_tenant_rows(&mut rows, &o.tenant_rows);
         }
+        truncated.sort_unstable();
+        truncated.dedup();
         let contended_total: u64 = rows.iter().map(|(_, s)| s.delivered_contended).sum();
 
         let mut reports = Vec::with_capacity(programs.len());
-        for (spec, _) in &programs {
+        for (index, (spec, _)) in programs.iter().enumerate() {
             // Per-tenant stdout in rank order: a survivor's locally
             // captured per-tenant buffer is authoritative; a killed
             // rank's contribution is what it streamed to the servers
             // under this tenant's tag.
             let mut stdout = String::new();
             for (rank, o) in per_rank.iter().enumerate() {
-                match o {
-                    Some(ro) => {
-                        if let Some((_, s)) = ro.tenant_stdout.iter().find(|(t, _)| *t == spec.id) {
-                            stdout.push_str(s);
-                        }
-                    }
-                    None => {
-                        if let Some(s) = streamed.get(&rank).and_then(|m| m.get(&spec.id)) {
-                            stdout.push_str(s);
-                        }
-                    }
-                }
+                let s = match o {
+                    Some(ro) => ro
+                        .tenant_stdout
+                        .iter()
+                        .find(|(t, _)| *t == spec.id)
+                        .map(|(_, s)| s),
+                    None => streamed.get(&rank).and_then(|m| m.get(&spec.id)),
+                };
+                stdout.push_str(s.map_or("", String::as_str));
             }
             let stats = rows
                 .iter()
@@ -534,20 +571,35 @@ impl Runtime {
                 .unwrap_or_default();
             let share_of_delivered = (contended_total > 0)
                 .then(|| stats.delivered_contended as f64 / contended_total as f64);
-            // The tenant's engine holds its program error; each worker
-            // keeps the first error it contained for every tenant.
-            let engine_err = per_rank
-                .get(spec.id as usize)
-                .and_then(|o| o.as_ref())
-                .and_then(|o| o.program_error.clone());
-            let worker_err = per_rank.iter().flatten().find_map(|o| {
-                o.tenant_errors
-                    .iter()
-                    .find(|(t, _)| *t == spec.id)
-                    .map(|(_, e)| e.clone())
+            // The program's first contained error in rank order (its
+            // engines come first, then each worker's first error for it),
+            // except that a dataflow deadlock yields to any other error:
+            // a worker's failed one-way store leaves a future open, and
+            // the worker's error is the diagnosis.
+            let contained: Vec<&String> = per_rank
+                .iter()
+                .flatten()
+                .flat_map(|o| o.tenant_errors.iter())
+                .filter(|(t, _)| *t == spec.id)
+                .map(|(_, e)| e)
+                .collect();
+            let contained = contained
+                .iter()
+                .find(|e| !turbine::is_deadlock(e))
+                .or(contained.first())
+                .map(|e| e.to_string());
+            // A killed first engine fails its program conservatively,
+            // even if the kill landed after its last rule fired.
+            let died = per_rank[index].is_none().then(|| {
+                let e = format!("engine rank {index} died before its program finished");
+                if programs.len() > 1 {
+                    format!("tenant {}: {e}", spec.id)
+                } else {
+                    e
+                }
             });
             let latency = if self.tracing {
-                LatencyStats::from_durations(tenant_task_durations(&result.traces, spec.id))
+                LatencyStats::from_durations(tenant_task_durations(&outcome.traces, spec.id))
             } else {
                 None
             };
@@ -559,18 +611,37 @@ impl Runtime {
                 stats,
                 share_of_delivered,
                 latency,
-                error: engine_err.or(worker_err),
+                error: died.or(contained),
             });
         }
-        // The rank-order global stdout interleaves tenants arbitrarily;
-        // tenant-order concatenation is the deterministic view.
-        result.stdout = reports.iter().map(|r| r.stdout.as_str()).collect();
-        result.tenants = reports;
-        Ok(result)
+
+        let roles = (0..self.ranks)
+            .map(|r| config.role(self.ranks, r))
+            .collect();
+        let latency = if self.tracing {
+            Some(LatencyReport::from_traces(&outcome.traces))
+        } else {
+            None
+        };
+        Ok(RunResult {
+            // The rank-order stdout would interleave tenants arbitrarily;
+            // tenant-order concatenation is the deterministic view.
+            stdout: reports.iter().map(|r| r.stdout.as_str()).collect(),
+            outputs: per_rank.into_iter().flatten().collect(),
+            elapsed,
+            messages: outcome.stats.messages,
+            bytes: outcome.stats.bytes,
+            killed_ranks: outcome.killed,
+            truncated_streams: truncated,
+            roles,
+            traces: outcome.traces,
+            latency,
+            tenants: reports,
+        })
     }
 
-    /// The engine/worker interpreter setup hook shared by both run paths:
-    /// native libraries (§III.B) and in-memory Tcl packages.
+    /// The engine/worker interpreter setup hook: native libraries
+    /// (§III.B) and in-memory Tcl packages.
     fn interp_setup(&self) -> impl Fn(&mut tclish::Interp) + '_ {
         move |interp: &mut tclish::Interp| {
             for lib in &self.natives {
@@ -582,99 +653,6 @@ impl Runtime {
                     version,
                     PackageInit::Script(std::rc::Rc::from(source.as_str())),
                 );
-            }
-        }
-    }
-
-    /// Execute the world and assemble the run-shape-independent parts of
-    /// the result. Also returns the raw per-rank outputs (index = rank;
-    /// `None` = killed) and the server-tier streams keyed by rank then
-    /// tenant, for callers that post-process per tenant.
-    #[allow(clippy::type_complexity)]
-    fn run_world<F>(
-        &self,
-        config: &TurbineConfig,
-        body: F,
-    ) -> Result<
-        (
-            RunResult,
-            Vec<Option<RankOutput>>,
-            HashMap<usize, BTreeMap<u32, String>>,
-        ),
-        SwiftTError,
-    >
-    where
-        F: Fn(mpisim::Comm) -> RankOutput + Sync,
-    {
-        let start = Instant::now();
-        let world = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            World::run_faulty_traced(self.ranks, &self.faults, self.tracing, body)
-        }));
-        let elapsed = start.elapsed();
-        match world {
-            Ok(outcome) => {
-                let per_rank = outcome.outputs;
-                // Streams accumulated on the server tier recover what a
-                // killed rank shipped before dying; for survivors the
-                // locally captured stdout is authoritative (and, fault
-                // free, identical to the streamed copy).
-                let mut streamed: HashMap<usize, BTreeMap<u32, String>> = HashMap::new();
-                let mut truncated: Vec<usize> = Vec::new();
-                for o in per_rank.iter().flatten() {
-                    for (r, t, s) in &o.server_streams {
-                        let e = streamed.entry(*r).or_default().entry(*t).or_default();
-                        if s.len() > e.len() {
-                            s.clone_into(e);
-                        }
-                    }
-                    truncated.extend(o.truncated_streams.iter().copied());
-                }
-                truncated.sort_unstable();
-                truncated.dedup();
-                let mut stdout = String::new();
-                for (rank, o) in per_rank.iter().enumerate() {
-                    match o {
-                        Some(ro) => stdout.push_str(&ro.stdout),
-                        None => {
-                            if let Some(m) = streamed.get(&rank) {
-                                for s in m.values() {
-                                    stdout.push_str(s);
-                                }
-                            }
-                        }
-                    }
-                }
-                let outputs: Vec<_> = per_rank.iter().flatten().cloned().collect();
-                let roles = (0..self.ranks)
-                    .map(|r| config.role(self.ranks, r))
-                    .collect();
-                let latency = if self.tracing {
-                    Some(LatencyReport::from_traces(&outcome.traces))
-                } else {
-                    None
-                };
-                let result = RunResult {
-                    stdout,
-                    outputs,
-                    elapsed,
-                    messages: outcome.stats.messages,
-                    bytes: outcome.stats.bytes,
-                    killed_ranks: outcome.killed,
-                    truncated_streams: truncated,
-                    roles,
-                    traces: outcome.traces,
-                    latency,
-                    tenants: Vec::new(),
-                };
-                Ok((result, per_rank, streamed))
-            }
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "rank panicked".to_string());
-                Err(SwiftTError::Runtime(msg))
             }
         }
     }
@@ -734,6 +712,28 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.stdout, "402\n");
+    }
+
+    #[test]
+    fn solo_multi_engine_main_error_ends_the_run_with_it() {
+        // Engine 0 fails in main after spawning work; engine 1 never runs
+        // main. The error is contained until global termination, then
+        // fails the run: it must end, not hang, and carry the diagnosis.
+        let err = Runtime::new(5)
+            .engines(2)
+            .run_turbine(TurbineProgram {
+                preamble: String::new(),
+                main: "turbine::spawn work 0 {puts before}; no_such_command_anywhere".into(),
+                args: Vec::new(),
+            })
+            .unwrap_err();
+        match err {
+            SwiftTError::Runtime(m) => assert!(
+                m.contains("program main failed") && m.contains("no_such_command_anywhere"),
+                "{m}"
+            ),
+            other => panic!("expected a runtime error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// The compiler output: Turbine code, ready for `turbine::run_rank`.
+/// The compiler output: Turbine code, ready for `turbine::run_rank_tenants`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompiledProgram {
     /// Proc definitions (user functions, loop bodies, branches); loaded on

@@ -36,8 +36,5 @@ pub mod types;
 pub mod worker;
 
 pub use commands::{Ctx, SharedCtx};
-pub use run::{
-    run_rank, run_rank_tenants, run_rank_tenants_with, run_rank_with, RankOutput, Role,
-    TurbineConfig, TurbineProgram,
-};
+pub use run::{is_deadlock, run_rank_tenants, RankOutput, Role, TurbineConfig, TurbineProgram};
 pub use types::{InterpPolicy, TurbineType};

@@ -1,9 +1,10 @@
 //! Per-rank driver: role assignment, program startup, engine loop, output
 //! collection.
 //!
-//! This is the analogue of `turbine::start`: given a compiled program
-//! (preamble of proc definitions + a main body), each rank takes its role
-//! from the layout (Fig. 2) and runs to global termination.
+//! This is the analogue of `turbine::start`: given compiled programs
+//! (each a preamble of proc definitions + a main body; a solo run is one
+//! program), each rank takes its role from the layout (Fig. 2) and runs
+//! to global termination.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -117,7 +118,7 @@ pub struct TurbineProgram {
     /// Proc definitions and package setup; evaluated on every engine and
     /// worker before any task runs.
     pub preamble: String,
-    /// The program body; evaluated on engine 0 only.
+    /// The program body; evaluated by the program's first engine only.
     pub main: String,
     /// Program arguments, readable via `turbine::argv` / Swift `argv()`.
     pub args: Vec<(String, String)>,
@@ -151,21 +152,16 @@ pub struct RankOutput {
     /// Client ranks whose stream is known-incomplete — the rank died
     /// mid-run (servers only).
     pub truncated_streams: Vec<Rank>,
-    /// Per-tenant scheduling/admission accounting (servers only; empty in
-    /// single-tenant runs, which never register tenants).
+    /// Per-tenant scheduling/admission accounting (servers only).
     pub tenant_rows: Vec<(u32, TenantStats)>,
-    /// The tenant this rank served exclusively (multi-tenant engines).
-    pub tenant: Option<u32>,
-    /// Per-tenant stdout captured locally on this rank (multi-tenant
-    /// engines and workers). [`RankOutput::stdout`] is the concatenation
-    /// in tenant order.
+    /// Per-tenant stdout captured locally on this rank (engines and
+    /// workers). [`RankOutput::stdout`] is the concatenation in tenant
+    /// order.
     pub tenant_stdout: Vec<(u32, String)>,
-    /// The first program error this rank contained (multi-tenant runs
-    /// isolate failures per tenant instead of panicking the world).
-    pub program_error: Option<String>,
-    /// The first error of each tenant a multi-tenant worker contained, in
-    /// tenant order: a worker serves every tenant, so one error per rank
-    /// would hide the others.
+    /// The first error this rank contained for each tenant, in tenant
+    /// order. An engine serves one program, so it has at most one; a
+    /// worker serves every tenant, so one error per rank would hide the
+    /// others.
     pub tenant_errors: Vec<(u32, String)>,
 }
 
@@ -184,9 +180,7 @@ impl RankOutput {
             server_streams: Vec::new(),
             truncated_streams: Vec::new(),
             tenant_rows: Vec::new(),
-            tenant: None,
             tenant_stdout: Vec::new(),
-            program_error: None,
             tenant_errors: Vec::new(),
         }
     }
@@ -219,99 +213,9 @@ impl OutputStreamer {
     }
 }
 
-/// Run one rank of the machine to global termination.
-///
-/// # Panics
-/// Panics on Tcl errors in the program (poisoning the world so other
-/// ranks fail fast rather than hanging).
-pub fn run_rank(comm: Comm, config: &TurbineConfig, program: &TurbineProgram) -> RankOutput {
-    run_rank_with(comm, config, program, |_| {})
-}
-
-/// Like [`run_rank`], with a hook that customizes each engine/worker
-/// interpreter after the `turbine::*` commands are registered — this is
-/// where the host attaches native libraries (the SWIG path of §III.B) and
-/// extra in-memory Tcl packages.
-pub fn run_rank_with(
-    comm: Comm,
-    config: &TurbineConfig,
-    program: &TurbineProgram,
-    setup: impl Fn(&mut Interp),
-) -> RankOutput {
-    let size = comm.size();
-    config.validate(size);
-    let rank = comm.rank();
-    let role = config.role(size, rank);
-    let layout = config.layout(size);
-
-    if role == Role::Server {
-        let outcome = adlb::serve_ext(comm, layout, config.server.clone());
-        return RankOutput {
-            server_stats: Some(outcome.stats),
-            server_streams: outcome.streams,
-            truncated_streams: outcome.truncated,
-            tenant_rows: outcome.tenant_rows,
-            ..RankOutput::empty(role)
-        };
-    }
-
-    let client = AdlbClient::with_config(comm, layout, config.client_config());
-    let ctx = Ctx::new(client, role == Role::Engine, config.policy);
-    ctx.borrow_mut().args = program.args.iter().cloned().collect();
-    let mut interp = Interp::new();
-    let buf = interp.capture_output();
-    commands::register(&mut interp, ctx.clone());
-    setup(&mut interp);
-
-    // The runtime library plus the program's own definitions are an
-    // in-memory "static package" (§IV): no filesystem involved.
-    crate::library::load(&mut interp);
-    if !program.preamble.is_empty() {
-        interp
-            .eval(&program.preamble)
-            .unwrap_or_else(|e| panic!("program preamble failed on rank {rank}: {e}"));
-    }
-    interp.set_var("turbine::n_engines", config.engines.to_string());
-    interp.set_var(
-        "turbine::n_workers",
-        (size - config.servers - config.engines).to_string(),
-    );
-
-    let mut stream = OutputStreamer::new(buf.clone());
-    match role {
-        Role::Engine => {
-            if rank == 0 {
-                interp
-                    .eval(&program.main)
-                    .unwrap_or_else(|e| panic!("program main failed: {e}"));
-            }
-            engine_loop(&mut interp, &ctx, &mut stream)
-                .unwrap_or_else(|e| panic!("engine {rank} failed: {e}"));
-        }
-        Role::Worker => {
-            worker::worker_loop(&mut interp, &ctx, &mut stream)
-                .unwrap_or_else(|e| panic!("worker {rank} task failed: {e}"));
-        }
-        Role::Server => unreachable!(),
-    }
-
-    let c = ctx.borrow();
-    let stdout = buf.borrow().clone();
-    RankOutput {
-        stdout,
-        tasks_executed: c.tasks_executed,
-        tasks_failed: c.tasks_failed,
-        rules_created: c.engine.rules_created,
-        rules_fired: c.engine.rules_fired,
-        interp_inits: c.interp_inits,
-        ..RankOutput::empty(role)
-    }
-}
-
 /// Build one engine/worker interpreter: `turbine::*` commands, the host
 /// `setup` hook, the runtime library, and `preamble`. A preamble error is
-/// returned (not panicked) so multi-tenant callers can contain it to the
-/// offending tenant.
+/// returned (not panicked) so it stays contained to its program.
 fn build_interp(
     ctx: &SharedCtx,
     config: &TurbineConfig,
@@ -323,6 +227,8 @@ fn build_interp(
     let buf = interp.capture_output();
     commands::register(&mut interp, ctx.clone());
     setup(&mut interp);
+    // The runtime library plus the program's own definitions are an
+    // in-memory "static package" (§IV): no filesystem involved.
     crate::library::load(&mut interp);
     let mut err = None;
     if !preamble.is_empty() {
@@ -338,25 +244,24 @@ fn build_interp(
     (interp, buf, err)
 }
 
-/// Run one rank of a *multi-tenant* machine: `programs[i]` runs as tenant
-/// `programs[i].0.id`, evaluated by engine rank `i`, over the shared
-/// worker/server fleet. Requires exactly one engine per program.
+/// Run one rank of the machine to global termination: `programs[i]` runs
+/// as tenant `programs[i].0.id` over the shared worker and server fleet.
+/// A solo run is a one-tenant run.
 ///
-/// Unlike [`run_rank`], program errors do not panic the world: each
-/// tenant's failures are contained to its own tasks and reported in
-/// [`RankOutput::program_error`], so one broken program cannot take its
-/// neighbors down.
+/// Engines map onto programs by one rule: with one engine per program,
+/// engine `i` serves `programs[i]`; with a single program, every engine
+/// serves it. Either way engine rank `i` is the first engine of program
+/// `i` and the only one that evaluates its `main`.
+///
+/// `setup` customizes each engine/worker interpreter after the
+/// `turbine::*` commands are registered — this is where the host attaches
+/// native libraries (the SWIG path of §III.B) and extra in-memory Tcl
+/// packages.
+///
+/// Program errors do not panic the world: each is contained to its own
+/// program and reported in [`RankOutput::tenant_errors`], so one broken
+/// program cannot take its neighbors down.
 pub fn run_rank_tenants(
-    comm: Comm,
-    config: &TurbineConfig,
-    programs: &[(TenantSpec, TurbineProgram)],
-) -> RankOutput {
-    run_rank_tenants_with(comm, config, programs, |_| {})
-}
-
-/// Like [`run_rank_tenants`], with the same interpreter-setup hook as
-/// [`run_rank_with`].
-pub fn run_rank_tenants_with(
     comm: Comm,
     config: &TurbineConfig,
     programs: &[(TenantSpec, TurbineProgram)],
@@ -365,15 +270,22 @@ pub fn run_rank_tenants_with(
     let size = comm.size();
     config.validate(size);
     assert!(
-        config.engines == programs.len(),
-        "multi-tenant runs need exactly one engine per program \
-         ({} engines, {} programs)",
+        programs.len() == config.engines || programs.len() == 1,
+        "need one program, or one engine per program ({} engines, {} programs)",
         config.engines,
         programs.len()
     );
     let rank = comm.rank();
     let role = config.role(size, rank);
     let layout = config.layout(size);
+    // In a world of several programs, every error names its tenant.
+    let charge = |tenant: u32, e: String| {
+        if programs.len() > 1 {
+            (tenant, format!("tenant {tenant}: {e}"))
+        } else {
+            (tenant, e)
+        }
+    };
 
     if role == Role::Server {
         let mut server_cfg = config.server.clone();
@@ -393,7 +305,8 @@ pub fn run_rank_tenants_with(
 
     match role {
         Role::Engine => {
-            let (spec, program) = &programs[rank];
+            let index = if programs.len() == 1 { 0 } else { rank };
+            let (spec, program) = &programs[index];
             let tenant = spec.id;
             {
                 let mut c = ctx.borrow_mut();
@@ -404,11 +317,10 @@ pub fn run_rank_tenants_with(
             let (mut interp, buf, mut error) =
                 build_interp(&ctx, config, size, &program.preamble, &setup);
             let mut stream = OutputStreamer::new(buf.clone());
-            // Every engine is rank 0 of its own tenant: it runs its
-            // program's main. A failed main is contained — the engine
-            // keeps serving its notifications to global termination so
-            // the rest of the world is undisturbed.
-            if error.is_none() {
+            // A failed main is contained: the engine keeps serving its
+            // notifications to global termination so the rest of the
+            // world is undisturbed.
+            if error.is_none() && rank == index {
                 if let Err(e) = interp.eval(&program.main) {
                     error = Some(format!("program main failed: {e}"));
                 }
@@ -421,26 +333,23 @@ pub fn run_rank_tenants_with(
                 rules_created: c.engine.rules_created,
                 rules_fired: c.engine.rules_fired,
                 interp_inits: c.interp_inits,
-                tenant: Some(tenant),
                 tenant_stdout: vec![(tenant, stdout)],
-                program_error: error.map(|e| format!("tenant {} ({}): {e}", tenant, spec.name)),
+                tenant_errors: error.map(|e| charge(tenant, e)).into_iter().collect(),
                 ..RankOutput::empty(role)
             }
         }
         Role::Worker => {
-            let preambles: std::collections::HashMap<u32, (String, Vec<(String, String)>)> =
+            let program_of = |tenant: u32| {
                 programs
                     .iter()
-                    .map(|(s, p)| (s.id, (p.preamble.clone(), p.args.clone())))
-                    .collect();
+                    .find(|(s, _)| s.id == tenant)
+                    .map(|(_, p)| p)
+            };
             let mut errors: BTreeMap<u32, String> = BTreeMap::new();
             let mut bufs: Vec<(u32, Rc<RefCell<String>>)> = Vec::new();
             let deferred = {
                 let mut build = |tenant: u32| {
-                    let preamble = preambles
-                        .get(&tenant)
-                        .map(|(p, _)| p.as_str())
-                        .unwrap_or("");
+                    let preamble = program_of(tenant).map_or("", |p| p.preamble.as_str());
                     let (interp, buf, err) = build_interp(&ctx, config, size, preamble, &setup);
                     if let Some(e) = err {
                         errors.insert(tenant, e);
@@ -449,9 +358,8 @@ pub fn run_rank_tenants_with(
                     (interp, OutputStreamer::new(buf))
                 };
                 let args_of = |tenant: u32| {
-                    preambles
-                        .get(&tenant)
-                        .map(|(_, a)| a.iter().cloned().collect())
+                    program_of(tenant)
+                        .map(|p| p.args.iter().cloned().collect())
                         .unwrap_or_default()
                 };
                 worker::worker_loop_tenants(&ctx, &mut build, &args_of)
@@ -466,11 +374,7 @@ pub fn run_rank_tenants_with(
                 .into_iter()
                 .map(|(t, b)| (t, b.borrow().clone()))
                 .collect();
-            let stdout = tenant_stdout
-                .iter()
-                .map(|(_, s)| s.as_str())
-                .collect::<Vec<_>>()
-                .join("");
+            let stdout = tenant_stdout.iter().map(|(_, s)| s.as_str()).collect();
             let c = ctx.borrow();
             RankOutput {
                 stdout,
@@ -478,10 +382,7 @@ pub fn run_rank_tenants_with(
                 tasks_failed: c.tasks_failed,
                 interp_inits: c.interp_inits,
                 tenant_stdout,
-                tenant_errors: errors
-                    .into_iter()
-                    .map(|(t, e)| (t, format!("tenant {t}: {e}")))
-                    .collect(),
+                tenant_errors: errors.into_iter().map(|(t, e)| charge(t, e)).collect(),
                 ..RankOutput::empty(role)
             }
         }
@@ -489,10 +390,28 @@ pub fn run_rank_tenants_with(
     }
 }
 
-/// The multi-tenant engine loop: like [`engine_loop`], but evaluation
-/// errors are *contained* — recorded in `error` (first one wins) while
-/// the engine keeps serving notifications and control tasks to global
-/// termination, so one tenant's broken program cannot stall or abort its
+/// How an engine's dataflow-deadlock report begins.
+const DEADLOCK: &str = "dataflow deadlock: ";
+
+/// Whether a contained program error is an engine's dataflow-deadlock
+/// report. A deadlock is a symptom: any other error of the same program
+/// (e.g. a worker's failed one-way store that left a future open)
+/// explains it better.
+pub fn is_deadlock(error: &str) -> bool {
+    let bare = error
+        .strip_prefix("tenant ")
+        .and_then(|r| r.split_once(": "))
+        .map_or(error, |(_, r)| r);
+    bare.starts_with(DEADLOCK)
+}
+
+/// The engine loop: drain locally ready actions, then block on control
+/// tasks and data-close notifications until global termination. Output
+/// produced so far streams to the server tier before each blocking get.
+///
+/// Evaluation errors are *contained*: recorded in `error` (first one
+/// wins) while the engine keeps serving notifications and control tasks
+/// to global termination, so a broken program cannot stall or abort its
 /// neighbors. A dataflow deadlock at termination is only reported when no
 /// earlier error explains it.
 fn engine_loop_contained(
@@ -523,21 +442,35 @@ fn engine_loop_contained(
             .borrow_mut()
             .client
             .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
-        // All of an engine's ops are its own tenant's: one error is enough.
+        // A one-way data op (e.g. a store) that failed on the server: the
+        // same program error an awaited store would have raised in place.
+        // All of an engine's ops are its own program's: one is enough.
         if let Some((_, e)) = ctx.borrow_mut().take_deferred_errors().into_iter().next() {
             note(error, e);
         }
         match task {
             None => {
                 let c = ctx.borrow();
+                // An aborted run (a server died with no replica to
+                // promote) may look "complete" to the engine — tasks
+                // that died with the shard leave no unfired rule behind.
+                // The shutdown notice carries the diagnosis; fail the
+                // program with it instead of reporting partial output as
+                // success.
                 if let Some(reason) = c.client.run_aborted() {
                     note(error, format!("run aborted: {reason}"));
                     return;
                 }
+                // Global termination with rules still waiting means their
+                // input futures can never close: a dataflow deadlock in
+                // the user program (e.g. reading a never-assigned
+                // variable, or a task quarantined after repeated
+                // failures). Report it like Swift/T does, with the
+                // server's quarantine reports when there are any.
                 let waiting = c.engine.rules_waiting();
                 if waiting > 0 && error.is_none() {
                     let mut msg = format!(
-                        "dataflow deadlock: {waiting} rule(s) never fired; \
+                        "{DEADLOCK}{waiting} rule(s) never fired; \
                          some futures were never assigned"
                     );
                     for report in c.client.quarantine_reports() {
@@ -549,12 +482,21 @@ fn engine_loop_contained(
                 return;
             }
             Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
+                // A malformed notification must not take the engine rank
+                // down: skip it and keep serving (the td it named, if
+                // any, will be re-learned through the closed-cache on
+                // the next subscribe).
                 let Some(id) = t
                     .payload
                     .get(..8)
                     .and_then(|b| b.try_into().ok())
                     .map(u64::from_le_bytes)
                 else {
+                    eprintln!(
+                        "turbine engine {}: malformed notify payload ({} bytes); dropped",
+                        ctx.borrow().client.rank(),
+                        t.payload.len()
+                    );
                     continue;
                 };
                 let dispatches = ctx.borrow_mut().engine.fire(id);
@@ -575,120 +517,37 @@ fn engine_loop_contained(
     }
 }
 
-/// The engine loop: drain locally ready actions, then block on control
-/// tasks and data-close notifications until global termination. Output
-/// produced so far streams to the server tier before each blocking get.
-pub fn engine_loop(
-    interp: &mut Interp,
-    ctx: &SharedCtx,
-    stream: &mut OutputStreamer,
-) -> Result<(), tclish::TclError> {
-    loop {
-        // Drain everything ready to run on this engine.
-        loop {
-            let action = ctx.borrow_mut().engine.ready.pop_front();
-            match action {
-                Some(a) => {
-                    interp.eval(&a)?;
-                }
-                None => break,
-            }
-        }
-        stream.ship(&mut ctx.borrow_mut().client);
-        let task = ctx
-            .borrow_mut()
-            .client
-            .get(&[adlb::WORK_TYPE_CONTROL, adlb::WORK_TYPE_NOTIFY]);
-        // A one-way data op (e.g. a store) that failed on the server: the
-        // same program error an awaited store would have raised in place
-        // (the first is enough: several describe the same broken program).
-        if let Some((_, e)) = ctx.borrow_mut().take_deferred_errors().into_iter().next() {
-            return Err(tclish::TclError::new(e));
-        }
-        match task {
-            None => {
-                let c = ctx.borrow();
-                // An aborted run (a server died with no replica to
-                // promote) may look "complete" to the engine — tasks
-                // that died with the shard leave no unfired rule behind.
-                // The shutdown notice carries the diagnosis; fail the
-                // run with it instead of reporting partial output as
-                // success.
-                if let Some(reason) = c.client.run_aborted() {
-                    return Err(tclish::TclError::new(format!("run aborted: {reason}")));
-                }
-                // Global termination with rules still waiting means their
-                // input futures can never close: a dataflow deadlock in
-                // the user program (e.g. reading a never-assigned
-                // variable, or a task quarantined after repeated
-                // failures). Report it like Swift/T does, with the
-                // server's quarantine reports when there are any.
-                let waiting = c.engine.rules_waiting();
-                if waiting > 0 {
-                    let mut msg = format!(
-                        "dataflow deadlock: {waiting} rule(s) never fired; \
-                         some futures were never assigned"
-                    );
-                    for report in c.client.quarantine_reports() {
-                        msg.push_str("\n  ");
-                        msg.push_str(report);
-                    }
-                    return Err(tclish::TclError::new(msg));
-                }
-                return Ok(());
-            }
-            Some(t) if t.work_type == adlb::WORK_TYPE_NOTIFY => {
-                // A malformed notification must not take the engine rank
-                // down: skip it and keep serving (the td it named, if
-                // any, will be re-learned through the closed-cache on
-                // the next subscribe).
-                let Some(id) = t
-                    .payload
-                    .get(..8)
-                    .and_then(|b| b.try_into().ok())
-                    .map(u64::from_le_bytes)
-                else {
-                    eprintln!(
-                        "turbine engine {}: malformed notify payload ({} bytes); dropped",
-                        ctx.borrow_mut().client.rank(),
-                        t.payload.len()
-                    );
-                    continue;
-                };
-                let dispatches = ctx.borrow_mut().engine.fire(id);
-                let mut c = ctx.borrow_mut();
-                for d in dispatches {
-                    c.perform(d);
-                }
-            }
-            Some(t) => {
-                let code = std::str::from_utf8(&t.payload)
-                    .map_err(|_| tclish::TclError::new("non-UTF-8 control task"))?;
-                interp.eval(code)?;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpisim::World;
 
-    /// Run a whole machine; returns concatenated stdout (rank order) and
-    /// the per-rank outputs.
+    /// Run a whole machine on one program and check that no rank
+    /// recorded a program error; returns concatenated stdout (rank order)
+    /// and the per-rank outputs.
     pub fn run_machine(
         size: usize,
         config: TurbineConfig,
         program: TurbineProgram,
     ) -> (String, Vec<RankOutput>) {
-        let outs = World::run(size, move |comm| run_rank(comm, &config, &program));
+        let outs = run_solo(size, config, program);
+        for o in &outs {
+            assert!(o.tenant_errors.is_empty(), "{:?}", o.tenant_errors);
+        }
         let stdout = outs
             .iter()
             .map(|o| o.stdout.as_str())
             .collect::<Vec<_>>()
             .join("");
         (stdout, outs)
+    }
+
+    /// Run a whole machine on one program, errors and all.
+    fn run_solo(size: usize, config: TurbineConfig, program: TurbineProgram) -> Vec<RankOutput> {
+        let programs = [(TenantSpec::new(0, "main"), program)];
+        World::run(size, move |comm| {
+            run_rank_tenants(comm, &config, &programs, |_| {})
+        })
     }
 
     #[test]
@@ -853,9 +712,10 @@ result = sum(range(n))}
     }
 
     #[test]
-    #[should_panic(expected = "program main failed")]
-    fn main_error_panics_cleanly() {
-        run_machine(
+    fn main_error_is_contained_to_its_program() {
+        // A failed main no longer panics the world: the engine records the
+        // error and serves on to global termination.
+        let outs = run_solo(
             3,
             TurbineConfig::default(),
             TurbineProgram {
@@ -864,6 +724,14 @@ result = sum(range(n))}
                 args: Vec::new(),
             },
         );
+        let errors = &outs[0].tenant_errors;
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].1.contains("program main failed")
+                && errors[0].1.contains("no_such_command_anywhere"),
+            "{errors:?}"
+        );
+        assert!(outs[1..].iter().all(|o| o.tenant_errors.is_empty()));
     }
 
     #[test]
@@ -905,10 +773,12 @@ result = sum(range(n))}
             engines: 2,
             ..TurbineConfig::default()
         };
-        let outs = World::run(6, move |comm| run_rank_tenants(comm, &config, &programs));
+        let outs = World::run(6, move |comm| {
+            run_rank_tenants(comm, &config, &programs, |_| {})
+        });
         let mut per_tenant = [String::new(), String::new()];
         for o in &outs {
-            assert!(o.program_error.is_none(), "{:?}", o.program_error);
+            assert!(o.tenant_errors.is_empty(), "{:?}", o.tenant_errors);
             for (t, s) in &o.tenant_stdout {
                 per_tenant[*t as usize].push_str(s);
             }
@@ -948,12 +818,14 @@ result = sum(range(n))}
             engines: 2,
             ..TurbineConfig::default()
         };
-        let outs = World::run(5, move |comm| run_rank_tenants(comm, &config, &programs));
+        let outs = World::run(5, move |comm| {
+            run_rank_tenants(comm, &config, &programs, |_| {})
+        });
         let broken = &outs[0];
         assert!(broken
-            .program_error
-            .as_deref()
-            .is_some_and(|e| e.contains("deliberate failure")));
+            .tenant_errors
+            .iter()
+            .any(|(t, e)| *t == 0 && e.contains("deliberate failure")));
         let healthy: String = outs
             .iter()
             .flat_map(|o| o.tenant_stdout.iter())
@@ -961,7 +833,7 @@ result = sum(range(n))}
             .map(|(_, s)| s.clone())
             .collect();
         assert_eq!(healthy, "survived\n");
-        assert!(outs[1].program_error.is_none());
+        assert!(outs[1].tenant_errors.is_empty());
     }
 
     #[test]
@@ -998,7 +870,11 @@ result = sum(range(n))}
             engines: 2,
             ..TurbineConfig::default()
         };
-        let outs = World::run(5, move |comm| run_rank_tenants(comm, &config, &programs));
+        let outs = World::run(5, move |comm| {
+            run_rank_tenants(comm, &config, &programs, |_| {})
+        });
+        // Engines and workers report through the same list, so this also
+        // checks that no engine charged an error.
         let errors: Vec<&(u32, String)> = outs.iter().flat_map(|o| &o.tenant_errors).collect();
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert_eq!(errors[0].0, 0, "{errors:?}");
@@ -1006,7 +882,6 @@ result = sum(range(n))}
             errors[0].1.starts_with("tenant 0:") && errors[0].1.contains("double assignment"),
             "{errors:?}"
         );
-        assert!(outs.iter().all(|o| o.program_error.is_none()));
     }
 
     #[test]
@@ -1034,7 +909,9 @@ result = sum(range(n))}
             engines: 2,
             ..TurbineConfig::default()
         };
-        let outs = World::run(4, move |comm| run_rank_tenants(comm, &config, &programs));
+        let outs = World::run(4, move |comm| {
+            run_rank_tenants(comm, &config, &programs, |_| {})
+        });
         assert_eq!(outs[2].role, Role::Worker);
         assert_eq!(outs[2].tasks_executed, 2, "one worker ran both leaves");
         let errors = &outs[2].tenant_errors;

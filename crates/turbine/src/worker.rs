@@ -14,10 +14,10 @@
 //!
 //! A store on the worker's home server is one-way (see
 //! [`adlb::AdlbClient`]), so its failure — e.g. a double assignment —
-//! surfaces only after the task was acknowledged. The loops check for such
-//! deferred errors after every `get` and turn them into program errors:
-//! retrying an acknowledged task cannot undo a store that broke single
-//! assignment.
+//! surfaces only after the task was acknowledged. The loop checks for such
+//! deferred errors after every `get` and turns them into program errors of
+//! the task's tenant: retrying an acknowledged task cannot undo a store
+//! that broke single assignment.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -76,48 +76,26 @@ fn execute_task(interp: &mut Interp, ctx: &SharedCtx, task: &adlb::Task, count: 
     }
 }
 
-/// Run the worker loop until global termination. Returns the number of
-/// tasks executed successfully. Each finished task's output streams to
+/// Run the worker loop until global termination: one ADLB client serving
+/// every tenant's leaf tasks (a solo run is tenant 0), with a lazily
+/// created Tcl interpreter *per tenant* (each loaded with that tenant's
+/// preamble) so programs cannot observe each other's procs or globals.
+/// Embedded Python/R state and blobs are cleared on every tenant switch
+/// regardless of the configured §III.C policy — interpreter state is
+/// never shared across tenants. Each finished task's output streams to
 /// the server tier before the next blocking get, so a later death of this
 /// rank cannot lose it.
-///
-/// Task failures are contained (counted in `Ctx::tasks_failed` and
-/// reported to the server); the loop fails only with a deferred error of
-/// a one-way data op, which no retry can repair.
-pub fn worker_loop(
-    interp: &mut Interp,
-    ctx: &SharedCtx,
-    stream: &mut OutputStreamer,
-) -> Result<u64, TclError> {
-    let mut count = 0u64;
-    loop {
-        stream.ship(&mut ctx.borrow_mut().client);
-        let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
-        if let Some((_, e)) = ctx.borrow_mut().take_deferred_errors().into_iter().next() {
-            return Err(TclError::new(e));
-        }
-        let Some(task) = task else {
-            return Ok(count);
-        };
-        execute_task(interp, ctx, &task, &mut count);
-    }
-}
-
-/// The multi-tenant worker loop: one shared ADLB client serving every
-/// tenant's leaf tasks, with a lazily created Tcl interpreter *per
-/// tenant* (each loaded with that tenant's preamble) so programs cannot
-/// observe each other's procs or globals. Embedded Python/R state and
-/// blobs are cleared on every tenant switch regardless of the configured
-/// §III.C policy — interpreter state is never shared across tenants.
 ///
 /// `build` constructs the interpreter (plus its output streamer) for a
 /// tenant on first use; `args_of` yields the tenant's program arguments,
 /// installed into the shared context on each switch.
 ///
-/// Returns the first deferred one-way error of each tenant whose tasks
-/// caused any, in tenant order; the loop keeps serving after one, so each
-/// failure stays contained to its own tenant's program.
-pub fn worker_loop_tenants(
+/// Task failures are contained (counted in `Ctx::tasks_failed` and
+/// reported to the server). Returns the first deferred one-way error of
+/// each tenant whose tasks caused any, in tenant order; the loop keeps
+/// serving after one, so each failure stays contained to its own
+/// tenant's program.
+pub(crate) fn worker_loop_tenants(
     ctx: &SharedCtx,
     build: &mut dyn FnMut(u32) -> (Interp, OutputStreamer),
     args_of: &dyn Fn(u32) -> HashMap<String, String>,
@@ -126,6 +104,7 @@ pub fn worker_loop_tenants(
     let mut last_tenant: Option<u32> = None;
     let mut count = 0u64;
     let mut errors: BTreeMap<u32, String> = BTreeMap::new();
+    let rank = ctx.borrow().client.rank();
     loop {
         // Ship every tenant's output increments under its own tag before
         // blocking, so a later death of this rank loses at most the task
@@ -137,7 +116,9 @@ pub fn worker_loop_tenants(
         }
         let task = ctx.borrow_mut().client.get(&[adlb::WORK_TYPE_WORK]);
         for (tenant, e) in ctx.borrow_mut().take_deferred_errors() {
-            errors.entry(tenant).or_insert(e);
+            errors
+                .entry(tenant)
+                .or_insert_with(|| format!("worker {rank} task failed: {e}"));
         }
         let Some(task) = task else {
             return errors.into_iter().collect();
@@ -167,137 +148,37 @@ pub fn worker_loop_tenants(
 
 #[cfg(test)]
 mod tests {
-    use adlb::{AdlbClient, Layout};
+    use adlb::{AdlbClient, Layout, ServerStats};
     use mpisim::World;
     use tclish::Interp;
 
     use crate::commands::{self, Ctx};
     use crate::types::InterpPolicy;
 
-    /// 1 submitter + 1 worker + 1 server; submitter sends raw Tcl tasks.
-    fn run_worker(tasks: &'static [&'static str], policy: InterpPolicy) -> (String, u64, u64) {
-        let layout = Layout::new(3, 1);
-        let out = World::run(3, move |comm| {
-            let rank = comm.rank();
-            if layout.is_server(rank) {
-                adlb::serve(comm, layout, adlb::ServerConfig::default());
-                return None;
-            }
-            if rank == 0 {
-                let mut client = AdlbClient::new(comm, layout);
-                for t in tasks {
-                    client.put(adlb::WORK_TYPE_WORK, 0, Some(1), t.as_bytes().to_vec());
-                }
-                client.finish();
-                return None;
-            }
-            let client = AdlbClient::new(comm, layout);
-            let ctx = Ctx::new(client, false, policy);
-            let mut interp = Interp::new();
-            let buf = interp.capture_output();
-            commands::register(&mut interp, ctx.clone());
-            crate::library::load(&mut interp);
-            let mut stream = crate::run::OutputStreamer::new(buf.clone());
-            let n = super::worker_loop(&mut interp, &ctx, &mut stream).unwrap();
-            let inits = ctx.borrow().interp_inits;
-            let stdout = buf.borrow().clone();
-            Some((stdout, n, inits))
-        });
-        out.into_iter().flatten().next().unwrap()
+    /// What the worker and the server of a [`run_worker`] machine saw.
+    #[derive(Default)]
+    struct WorkerRun {
+        stdout: String,
+        executed: u64,
+        failed: u64,
+        inits: u64,
+        errors: Vec<(u32, String)>,
+        server: ServerStats,
     }
 
-    #[test]
-    fn executes_tasks_in_order_for_same_source() {
-        let (stdout, n, _) = run_worker(&["puts one", "puts two"], InterpPolicy::Retain);
-        assert_eq!(n, 2);
-        assert_eq!(stdout, "one\ntwo\n");
-    }
-
-    #[test]
-    fn retain_keeps_python_state() {
-        let (stdout, _, inits) = run_worker(
-            &[
-                "puts [python {x = 10} {x}]",
-                "puts [python {x = x + 1} {x}]",
-            ],
-            InterpPolicy::Retain,
-        );
-        assert_eq!(stdout, "10\n11\n");
-        assert_eq!(inits, 1, "retained interpreter initializes once");
-    }
-
-    #[test]
-    fn reinitialize_isolates_state() {
-        let (stdout, _, inits) = run_worker(
-            &["puts [python {x = 10} {x}]", "puts [catch {python {} {x}}]"],
-            InterpPolicy::Reinitialize,
-        );
-        assert_eq!(stdout, "10\n1\n", "second task must not see x");
-        assert_eq!(inits, 2, "one init per task under Reinitialize");
-    }
-
-    #[test]
-    fn worker_rejects_rules() {
-        let (stdout, _, _) = run_worker(
-            &["puts [catch {turbine::rule {} {noop} control} msg]; puts $msg"],
-            InterpPolicy::Retain,
-        );
-        assert!(stdout.contains("1"));
-        assert!(stdout.contains("only run on an engine"));
-    }
-
-    #[test]
-    fn task_errors_are_contained() {
-        // A task that always errors must not kill the worker: it is
-        // reported failed, retried to the server's budget, quarantined —
-        // and a healthy task put afterwards still runs.
-        let layout = Layout::new(3, 1);
-        let out = World::run(3, move |comm| {
-            let rank = comm.rank();
-            if layout.is_server(rank) {
-                let stats = adlb::serve(comm, layout, adlb::ServerConfig::default());
-                return Some((stats.tasks_retried, stats.tasks_quarantined, 0));
-            }
-            if rank == 0 {
-                let mut client = AdlbClient::new(comm, layout);
-                client.put(adlb::WORK_TYPE_WORK, 9, Some(1), b"error kaboom".to_vec());
-                client.put(adlb::WORK_TYPE_WORK, 0, Some(1), b"puts healthy".to_vec());
-                client.finish();
-                return None;
-            }
-            let client = AdlbClient::new(comm, layout);
-            let ctx = Ctx::new(client, false, InterpPolicy::Retain);
-            let mut interp = Interp::new();
-            let buf = interp.capture_output();
-            commands::register(&mut interp, ctx.clone());
-            let mut stream = crate::run::OutputStreamer::new(buf.clone());
-            let n = super::worker_loop(&mut interp, &ctx, &mut stream)
-                .expect("contained loop never errs");
-            let failed = ctx.borrow().tasks_failed;
-            assert_eq!(buf.borrow().as_str(), "healthy\n");
-            Some((failed, n, 1))
-        });
-        // Default RetryPolicy: max_retries = 3, so the poison task fails
-        // once fresh + 3 retries before quarantine.
-        let (failed, executed, _) = out[1].unwrap();
-        assert_eq!(failed, 4);
-        assert_eq!(executed, 1);
-        let (retried, quarantined, _) = out[2].unwrap();
-        assert_eq!(retried, 3);
-        assert_eq!(quarantined, 1);
-    }
-
-    /// 1 submitter + 1 multi-tenant worker + 1 server. The submitter puts
+    /// 1 submitter + 1 worker + 1 server. The submitter puts
     /// `(tenant, script)` tasks targeted at the worker with falling
-    /// priorities, so the worker runs them in the given order. Returns the
-    /// worker's per-tenant errors.
-    fn run_tenant_worker(tasks: &'static [(u32, &'static str)]) -> Vec<(u32, String)> {
+    /// priorities, so the worker runs them in the given order.
+    fn run_worker(tasks: &'static [(u32, &'static str)], policy: InterpPolicy) -> WorkerRun {
         let layout = Layout::new(3, 1);
-        let out = World::run(3, move |comm| {
+        let mut out = World::run(3, move |comm| {
             let rank = comm.rank();
             if layout.is_server(rank) {
-                adlb::serve(comm, layout, adlb::ServerConfig::default());
-                return None;
+                let server = adlb::serve(comm, layout, adlb::ServerConfig::default());
+                return WorkerRun {
+                    server,
+                    ..WorkerRun::default()
+                };
             }
             if rank == 0 {
                 let mut client = AdlbClient::new(comm, layout);
@@ -307,22 +188,101 @@ mod tests {
                     client.put(adlb::WORK_TYPE_WORK, prio, Some(1), t.as_bytes().to_vec());
                 }
                 client.finish();
-                return None;
+                return WorkerRun::default();
             }
             let client = AdlbClient::new(comm, layout);
-            let ctx = Ctx::new(client, false, InterpPolicy::Retain);
+            let ctx = Ctx::new(client, false, policy);
+            let mut bufs = Vec::new();
             let mut build = |_tenant: u32| {
                 let mut interp = Interp::new();
                 let buf = interp.capture_output();
                 commands::register(&mut interp, ctx.clone());
                 crate::library::load(&mut interp);
+                bufs.push(buf.clone());
                 (interp, crate::run::OutputStreamer::new(buf))
             };
-            Some(super::worker_loop_tenants(&ctx, &mut build, &|_| {
-                Default::default()
-            }))
+            let errors = super::worker_loop_tenants(&ctx, &mut build, &|_| Default::default());
+            let c = ctx.borrow();
+            let stdout = bufs.iter().map(|b| b.borrow().clone()).collect();
+            WorkerRun {
+                stdout,
+                executed: c.tasks_executed,
+                failed: c.tasks_failed,
+                inits: c.interp_inits,
+                errors,
+                server: ServerStats::default(),
+            }
         });
-        out.into_iter().flatten().next().unwrap()
+        let server = out[2].server;
+        WorkerRun {
+            server,
+            ..out.swap_remove(1)
+        }
+    }
+
+    #[test]
+    fn executes_tasks_in_order_for_same_source() {
+        let r = run_worker(&[(0, "puts one"), (0, "puts two")], InterpPolicy::Retain);
+        assert_eq!(r.executed, 2);
+        assert_eq!(r.stdout, "one\ntwo\n");
+    }
+
+    #[test]
+    fn retain_keeps_python_state() {
+        let r = run_worker(
+            &[
+                (0, "puts [python {x = 10} {x}]"),
+                (0, "puts [python {x = x + 1} {x}]"),
+            ],
+            InterpPolicy::Retain,
+        );
+        assert_eq!(r.stdout, "10\n11\n");
+        assert_eq!(r.inits, 1, "retained interpreter initializes once");
+    }
+
+    #[test]
+    fn reinitialize_isolates_state() {
+        let r = run_worker(
+            &[
+                (0, "puts [python {x = 10} {x}]"),
+                (0, "puts [catch {python {} {x}}]"),
+            ],
+            InterpPolicy::Reinitialize,
+        );
+        assert_eq!(r.stdout, "10\n1\n", "second task must not see x");
+        assert_eq!(r.inits, 2, "one init per task under Reinitialize");
+    }
+
+    #[test]
+    fn worker_rejects_rules() {
+        let r = run_worker(
+            &[(
+                0,
+                "puts [catch {turbine::rule {} {noop} control} msg]; puts $msg",
+            )],
+            InterpPolicy::Retain,
+        );
+        assert!(r.stdout.contains("1"));
+        assert!(r.stdout.contains("only run on an engine"));
+    }
+
+    #[test]
+    fn task_errors_are_contained() {
+        // A task that always errors must not kill the worker: it is
+        // reported failed, retried to the server's budget, quarantined —
+        // and a healthy task put afterwards still runs.
+        let r = run_worker(
+            &[(0, "error kaboom"), (0, "puts healthy")],
+            InterpPolicy::Retain,
+        );
+        assert_eq!(r.stdout, "healthy\n");
+        assert!(r.errors.is_empty(), "{:?}", r.errors);
+        // Default RetryPolicy: max_retries = 3, so the poison task fails
+        // once fresh + 3 retries before quarantine.
+        assert_eq!(r.failed, 4);
+        assert_eq!(r.executed, 1);
+        assert_eq!(r.server.tasks_retried, 3);
+        assert_eq!(r.server.tasks_quarantined, 1);
     }
 
     #[test]
@@ -331,14 +291,18 @@ mod tests {
         // runs twice in a row: shipping output between the two tasks tags
         // the client with tenant 1, and the second task's failing one-way
         // store must still be charged to tenant 0.
-        let errors = run_tenant_worker(&[
-            (1, "puts b"),
-            (0, "puts a"),
-            (
-                0,
-                "turbine::create 7 integer; turbine::store_integer 7 1; turbine::store_integer 7 2",
-            ),
-        ]);
+        let errors = run_worker(
+            &[
+                (1, "puts b"),
+                (0, "puts a"),
+                (
+                    0,
+                    "turbine::create 7 integer; turbine::store_integer 7 1; turbine::store_integer 7 2",
+                ),
+            ],
+            InterpPolicy::Retain,
+        )
+        .errors;
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert_eq!(errors[0].0, 0, "{errors:?}");
         assert!(errors[0].1.contains("double assignment"), "{errors:?}");
@@ -348,14 +312,14 @@ mod tests {
     fn failed_task_forces_interpreter_reset() {
         // Python state set by a task must not survive a later failed task
         // even under the Retain policy.
-        let (stdout, _, _) = run_worker(
+        let r = run_worker(
             &[
-                "puts [python {x = 5} {x}]",
-                "error boom",
-                "puts [catch {python {} {x}}]",
+                (0, "puts [python {x = 5} {x}]"),
+                (0, "error boom"),
+                (0, "puts [catch {python {} {x}}]"),
             ],
             InterpPolicy::Retain,
         );
-        assert_eq!(stdout, "5\n1\n", "x must be gone after the failed task");
+        assert_eq!(r.stdout, "5\n1\n", "x must be gone after the failed task");
     }
 }

@@ -128,6 +128,33 @@ fn failed_leaf_store_ends_the_run_with_the_diagnosis() {
 }
 
 #[test]
+fn failed_leaf_store_outranks_the_deadlock_it_causes() {
+    // The leaf's one-way store into a container fails on the server and
+    // leaves the container open, so the engine also reports a dataflow
+    // deadlock for the rule waiting on it. The worker's diagnosis must
+    // win over that symptom.
+    let err = Runtime::new(3)
+        .run_turbine(TurbineProgram {
+            preamble: String::new(),
+            main: r#"
+                set c [turbine::unique]; turbine::create $c container
+                turbine::rule [list $c] "puts never" control
+                turbine::spawn work 0 "turbine::store_integer $c 1"
+            "#
+            .into(),
+            args: Vec::new(),
+        })
+        .unwrap_err();
+    match err {
+        SwiftTError::Runtime(m) => assert!(
+            m.contains("worker") && m.contains("is a container; use insert"),
+            "{m}"
+        ),
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
 fn native_error_propagates() {
     use swiftt::core::NativeLibrary;
     let lib = NativeLibrary::new("n", "1.0").function("die", |_| Err("native sadness".into()));

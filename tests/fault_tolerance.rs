@@ -162,6 +162,74 @@ fn poison_task_quarantined_with_bounded_retries() {
     }
 }
 
+/// A 600-leaf bag of zero-work leaves.
+const BAG600: &str = r#"
+    (int o) noop (int i) [ "set <<o>> <<i>>" ];
+    foreach i in [0:599] { int x = noop(i); }
+"#;
+
+#[test]
+fn main_engine_death_fails_the_run_instead_of_succeeding_silently() {
+    // Rank layout for new(6): engine 0, workers 1..=4, server 5. Engine 0
+    // dies after its 5th send, long before its program could finish; the
+    // survivors wind down, and the run must report the death as an error
+    // rather than return the partial output as a success.
+    let err = Runtime::new(6)
+        .faults(FaultPlan::new().kill_after_sends(0, 5))
+        .run(BAG600)
+        .expect_err("a dead main engine cannot have finished the program");
+    match err {
+        SwiftTError::Runtime(m) => assert!(m.contains("engine rank 0 died"), "{m}"),
+        other => panic!("expected a runtime error, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_main_engine_death_is_survived() {
+    // Rank layout for new(7).engines(2): engines 0 and 1, workers 2..=5,
+    // server 6. Engine 1 only serves control tasks, which the server
+    // requeues to engine 0 when it dies: the program still completes.
+    // Engine 1 dies right after its first send, its first `get`, so it
+    // never runs a control task. A later kill can land inside a control
+    // task whose spawns already reached the server (unbatched), and the
+    // requeued copy then spawns those leaves again.
+    let r = Runtime::new(7)
+        .engines(2)
+        .faults(FaultPlan::new().kill_after_sends(1, 1))
+        .run(r#"foreach i in [0:199] { printf("t%d", i); }"#)
+        .expect("a non-main engine's death is survivable");
+    assert_eq!(r.killed_ranks, vec![1]);
+    assert_eq!(unique_lines(&r.stdout).len(), 200);
+}
+
+#[test]
+fn tenant_engine_death_fails_only_that_tenant() {
+    // Rank layout for two tenants on new(6): engines 0 (alpha) and 1
+    // (beta), workers 2..=4, server 5. Beta's engine dies early; alpha's
+    // output must still equal its solo run, and only beta is failed.
+    let alpha = r#"foreach i in [0:29] { printf("alpha"); }"#;
+    let beta = r#"foreach i in [0:59] { printf("beta%d", i); }"#;
+    let solo = Runtime::new(6).run(alpha).expect("solo alpha");
+    let r = Runtime::new(6)
+        .faults(FaultPlan::new().kill_after_sends(1, 5))
+        .submit("alpha", 1, None, alpha)
+        .submit("beta", 1, None, beta)
+        .run_tenants()
+        .expect("a dead tenant engine is contained to its tenant");
+    assert_eq!(r.killed_ranks, vec![1]);
+    let a = r.tenant(0).expect("alpha report");
+    assert_eq!(a.error, None);
+    assert_eq!(a.stdout, solo.stdout);
+    let b = r.tenant(1).expect("beta report");
+    assert!(
+        b.error
+            .as_deref()
+            .is_some_and(|e| e.starts_with("tenant 1: engine rank 1 died")),
+        "{:?}",
+        b.error
+    );
+}
+
 /// Rank layout for new(8).servers(2): engine 0, workers 1..=5, servers
 /// 6 (master) and 7. Run the same 120-task program fault-free and with
 /// one server killed mid-run at replication 2; the output task set must
